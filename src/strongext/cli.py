@@ -52,6 +52,8 @@ from .errors import (
 from .extend import (
     BoundsReport,
     ExtensionPlan,
+    _bounds_from,
+    _extend_from,
     bounds,
     brute_force_min_extension,
     extend,
@@ -117,13 +119,13 @@ def analyze(g: StrictDigraph) -> AnalysisReport:
     cert = find_complete_dicut(g)
     if cert is not None:
         return AnalysisReport(VERDICT_NOT, summary=cond, certificate=cert)
-    if is_strong(g):
+    if cond.r == 1:
         return AnalysisReport(VERDICT_STRONG, summary=cond)
     return AnalysisReport(
         VERDICT_CONNECTABLE,
         summary=cond,
-        plan=extend(g),
-        bounds_report=bounds(g),
+        plan=_extend_from(g, cond),
+        bounds_report=_bounds_from(g, cond, brute=True),
     )
 
 
@@ -257,7 +259,8 @@ def cmd_extend(args) -> int:
         result = brute_force_min_extension(g)
         if result is None:
             cert = find_complete_dicut(g)
-            assert cert is not None
+            if cert is None:
+                raise AssertionError("no strong extension of a dicut-free digraph")
             print("no strong extension exists")
             print(format_certificate(cert))
             return 1

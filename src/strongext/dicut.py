@@ -195,7 +195,8 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
         if find_root(u) != find_root(v)
     }
     q = len(roots)
-    assert len(quotient_edges) == q * (q - 1) // 2
+    if len(quotient_edges) != q * (q - 1) // 2:
+        raise AssertionError("block quotient is not a tournament")
     cond = strong_components(StrictDigraph(q, frozenset(quotient_edges)))
     if cond.r == 1:
         return None

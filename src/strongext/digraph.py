@@ -7,7 +7,6 @@ one edge per unordered vertex pair.  Vertices are dense indices 0..n-1.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -156,9 +155,13 @@ class Condensation:
     """Strong components plus the acyclic quotient and weak-component data.
 
     Component ids follow a deterministic topological order of the quotient:
-    sources first, ties broken by smallest contained vertex.  Weak component
-    ids are ordered by smallest member.  Every quotient edge goes from a
-    lower component id to a higher one.
+    among the components whose predecessors all have ids, the one with the
+    smallest contained vertex comes next.  Source components are therefore
+    numbered in order of their smallest vertex, though a non-source
+    component may come before a source one.  Weak component ids are ordered
+    by smallest member.  Every quotient edge goes from a lower component id
+    to a higher one.  ``weak_groups[wid]`` holds the sorted ids of the
+    strong components inside weak component wid.
     """
 
     component_of: tuple[int, ...]
@@ -168,6 +171,7 @@ class Condensation:
     sink_components: frozenset[int]
     weak_component_of: tuple[int, ...]
     weak_components: tuple[tuple[int, ...], ...]
+    weak_groups: tuple[tuple[int, ...], ...]
 
     @property
     def r(self) -> int:
@@ -192,22 +196,16 @@ class Condensation:
     @property
     def c_prime(self) -> int:
         """Number of weak components that are not strongly connected."""
-        return sum(1 for group in self._components_by_weak() if len(group) > 1)
+        return sum(1 for group in self.weak_groups if len(group) > 1)
 
     @property
     def u(self) -> int:
         """Strong components that are a source or a sink, counted once."""
         return len(self.source_components | self.sink_components)
 
-    def _components_by_weak(self) -> list[list[int]]:
-        groups: list[list[int]] = [[] for _ in range(len(self.weak_components))]
-        for cid, members in enumerate(self.components):
-            groups[self.weak_component_of[members[0]]].append(cid)
-        return groups
-
     def components_in_weak(self, wid: int) -> list[int]:
         """Sorted ids of the strong components inside weak component wid."""
-        return self._components_by_weak()[wid]
+        return list(self.weak_groups[wid])
 
     def quotient_reachable(self, cid: int) -> frozenset[int]:
         """Component ids reachable from cid by a nonempty quotient path."""
@@ -271,71 +269,92 @@ def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
+def _union_find_roots(k: int, pairs) -> list[int]:
+    """Root of each of k items after joining every pair; a root is the
+    smallest item of its class."""
+    parent = list(range(k))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(a) for a in range(k)]
+
+
 def weak_components(g: StrictDigraph) -> tuple[tuple[int, ...], ...]:
     """Partition by underlying-graph connectivity, ordered by smallest member."""
-    adj = g.undirected_adj()
-    seen = [False] * g.n
-    blocks: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    block.append(w)
-                    queue.append(w)
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
+    roots = _union_find_roots(g.n, g.edges)
+    blocks: dict[int, list[int]] = {}
+    for v in range(g.n):
+        blocks.setdefault(roots[v], []).append(v)
+    return tuple(tuple(block) for block in blocks.values())
 
 
 def strong_components(g: StrictDigraph) -> Condensation:
     """Condensation of g with deterministically numbered components."""
-    raw = _tarjan_sccs(g.n, g.out_adj())
+    # the numbering below does not depend on the order Tarjan visits edges
+    # in, so the adjacency lists need no sorting
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+    raw = _tarjan_sccs(g.n, adj)
     raw_of = [0] * g.n
     for i, comp in enumerate(raw):
         for v in comp:
             raw_of[v] = i
     k = len(raw)
     succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
     for u, v in g.edges:
         a, b = raw_of[u], raw_of[v]
-        if a != b and b not in succ[a]:
+        if a != b:
             succ[a].add(b)
+    indeg = [0] * k
+    for targets in succ:
+        for b in targets:
             indeg[b] += 1
-    min_vertex = [min(comp) for comp in raw]
-    heap = [(min_vertex[i], i) for i in range(k) if indeg[i] == 0]
+    # components are keyed by their smallest vertex, which is unique
+    heap = [min(raw[i]) for i in range(k) if indeg[i] == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
-        _, i = heapq.heappop(heap)
+        i = raw_of[heapq.heappop(heap)]
         order.append(i)
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                heapq.heappush(heap, (min_vertex[j], j))
+                heapq.heappush(heap, min(raw[j]))
     new_id = [0] * k
     for pos, i in enumerate(order):
         new_id[i] = pos
     components = tuple(tuple(sorted(raw[i])) for i in order)
     component_of = tuple(new_id[raw_of[v]] for v in range(g.n))
     quotient = frozenset(
-        (component_of[u], component_of[v])
-        for u, v in g.edges
-        if component_of[u] != component_of[v]
+        (new_id[a], new_id[b]) for a in range(k) for b in succ[a]
     )
     has_in = {b for _, b in quotient}
     has_out = {a for a, _ in quotient}
-    weaks = weak_components(g)
+    # weak components join strong ones along quotient edges; numbering them
+    # in vertex order orders them by smallest member
+    roots = _union_find_roots(k, quotient)
+    wid_of_root: dict[int, int] = {}
+    blocks: list[list[int]] = []
     weak_of = [0] * g.n
-    for wid, block in enumerate(weaks):
-        for v in block:
-            weak_of[v] = wid
+    for v in range(g.n):
+        root = roots[component_of[v]]
+        if root not in wid_of_root:
+            wid_of_root[root] = len(blocks)
+            blocks.append([])
+        weak_of[v] = wid_of_root[root]
+        blocks[weak_of[v]].append(v)
+    groups: list[list[int]] = [[] for _ in blocks]
+    for cid in range(k):
+        groups[wid_of_root[roots[cid]]].append(cid)
     return Condensation(
         component_of=component_of,
         components=components,
@@ -343,7 +362,8 @@ def strong_components(g: StrictDigraph) -> Condensation:
         source_components=frozenset(i for i in range(k) if i not in has_in),
         sink_components=frozenset(i for i in range(k) if i not in has_out),
         weak_component_of=tuple(weak_of),
-        weak_components=weaks,
+        weak_components=tuple(tuple(block) for block in blocks),
+        weak_groups=tuple(tuple(group) for group in groups),
     )
 
 

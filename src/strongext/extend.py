@@ -19,7 +19,6 @@ from .digraph import (
     is_strong,
     serialize_edge_list,
     strong_components,
-    weak_components,
 )
 from .errors import (
     BudgetError,
@@ -73,90 +72,180 @@ def _require_no_complete_dicut(g: StrictDigraph):
         raise HasCompleteDicutError(cert)
 
 
-def _case_step(g: StrictDigraph, cond: Condensation) -> list[Edge]:
-    """Edges added by one round of the weakly connected construction.
+class _Growth:
+    """The condensation of a digraph, kept up to date as edges are added.
 
-    Let S be the vertices of the source components.  [S, S^c] is a dicut, so
-    it is not complete and some pair y in S, x outside S is non-adjacent; the
-    edge x -> y is added.  If x's component was not a successor of y's, the
-    edge y -> z is added as well, where z sits in a source component that is
-    a predecessor of x's component (legal because no edge joins two source
-    components).  Either way the component count drops.
+    Strong components are merged by union-find over the ids of the initial
+    condensation.  Every live component (a union-find root) keeps, as vertex
+    bitmasks, its members, everything it reaches (``down``) and everything
+    that reaches it (``up``), both including itself; ``sources`` holds the
+    vertices of the source components.  Adding an edge costs time
+    proportional to the components above its tail and below its head.
     """
-    src = sorted(
-        v for cid in cond.source_components for v in cond.components[cid]
-    )
-    src_set = set(src)
-    outside = [v for v in range(g.n) if v not in src_set]
-    pick = None
-    for y in src:
-        for x in outside:
-            if (y, x) not in g.edges:
-                pick = (y, x)
-                break
-        if pick is not None:
-            break
-    if pick is None:
-        raise AssertionError("source cut is complete; invariant violated")
-    y, x = pick
-    added = [(x, y)]
-    cx, cy = cond.component_of[x], cond.component_of[y]
-    if cx not in cond.quotient_reachable(cy):
-        source_preds = sorted(
-            cid
-            for cid in cond.source_components
-            if cx in cond.quotient_reachable(cid)
-        )
-        z = cond.components[source_preds[0]][0]
-        added.append((y, z))
-    return added
+
+    def __init__(self, g: StrictDigraph, cond: Condensation):
+        r = cond.r
+        self.all_vertices = (1 << g.n) - 1
+        self.component_of = cond.component_of
+        self.parent = list(range(r))
+        self.live = r
+        self.members = [sum(1 << v for v in comp) for comp in cond.components]
+        succ: list[list[int]] = [[] for _ in range(r)]
+        pred: list[list[int]] = [[] for _ in range(r)]
+        for a, b in cond.quotient_edges:
+            succ[a].append(b)
+            pred[b].append(a)
+        # quotient edges go from lower to higher ids
+        self.down = self.members[:]
+        for cid in range(r - 1, -1, -1):
+            mask = self.down[cid]
+            for b in succ[cid]:
+                mask |= self.down[b]
+            self.down[cid] = mask
+        self.up = self.members[:]
+        for cid in range(r):
+            mask = self.up[cid]
+            for a in pred[cid]:
+                mask |= self.up[a]
+            self.up[cid] = mask
+        self.sources = 0
+        for cid in cond.source_components:
+            self.sources |= self.members[cid]
+        self.out_adj: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in g.edges:
+            self.out_adj[u].append(v)
+        self.out_masks: dict[int, int] = {}
+
+    def find(self, v: int) -> int:
+        """Live component id of vertex v."""
+        parent = self.parent
+        cid = self.component_of[v]
+        while parent[cid] != cid:
+            parent[cid] = parent[parent[cid]]
+            cid = parent[cid]
+        return cid
+
+    def components_in(self, mask: int) -> list[int]:
+        """Live components whose vertices make up mask."""
+        found = []
+        while mask:
+            cid = self.find((mask & -mask).bit_length() - 1)
+            found.append(cid)
+            mask &= ~self.members[cid]
+        return found
+
+    def add_edge(self, u: int, v: int):
+        """Add u -> v and merge the components it closes a cycle through."""
+        above, below = self.up[self.find(u)], self.down[self.find(v)]
+        for cid in self.components_in(above):
+            self.down[cid] |= below
+        for cid in self.components_in(below):
+            self.up[cid] |= above
+        # the components from v's to u's now lie on a cycle through the edge;
+        # after the updates above they all have up = above and down = below
+        root = self.find(v)
+        for cid in self.components_in(above & below):
+            if cid != root:
+                self.parent[cid] = root
+                self.members[root] |= self.members[cid]
+                self.up[cid] = self.down[cid] = 0
+                self.live -= 1
+        # only the component receiving the edge can change source status
+        if self.up[root] == self.members[root]:
+            self.sources |= self.members[root]
+        else:
+            self.sources &= ~self.members[root]
+
+    def source_cut_pair(self) -> Edge | None:
+        """Smallest pair (y, x) with y in a source component, x outside all
+        of them and no edge y -> x.
+
+        No edge enters the source components, so y and x are non-adjacent.
+        Every added edge joins two vertices of one component by the end of
+        its round, so it never crosses this cut and the input's edges decide.
+        """
+        outside = self.all_vertices & ~self.sources
+        rest = self.sources
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            if y not in self.out_masks:
+                self.out_masks[y] = sum(1 << x for x in self.out_adj[y])
+            free = outside & ~self.out_masks[y]
+            if free:
+                return y, (free & -free).bit_length() - 1
+            rest ^= low
+        return None
+
+    def grow(self) -> list[Edge]:
+        """Add edges by the source-cut step rule until one component is left.
+
+        Let S be the vertices of the source components.  [S, S^c] is a
+        dicut, so it is not complete and some pair y in S, x outside S is
+        non-adjacent; the edge x -> y is added.  If x's component was not a
+        successor of y's, the edge y -> z is added as well, where z is the
+        smallest vertex of a source component that is a predecessor of x's
+        component (legal because no edge joins two source components).
+        Either way the component count drops.
+        """
+        added: list[Edge] = []
+        while self.live > 1:
+            pick = self.source_cut_pair()
+            if pick is None:
+                raise AssertionError("source cut is complete; invariant violated")
+            y, x = pick
+            step = [(x, y)]
+            up_x = self.up[self.find(x)]
+            if not up_x >> y & 1:
+                preds = self.sources & up_x
+                step.append((y, (preds & -preds).bit_length() - 1))
+            before = self.live
+            for u, v in step:
+                self.add_edge(u, v)
+            if self.live >= before:
+                raise AssertionError("extension round merged no components")
+            added.extend(step)
+        return added
 
 
-def _grow_until_strong(g: StrictDigraph) -> tuple[list[Edge], StrictDigraph]:
-    added: list[Edge] = []
-    current = g
-    cond = strong_components(current)
-    while cond.r > 1:
-        step = _case_step(current, cond)
-        added.extend(step)
-        current = current.with_edges(step)
-        next_cond = strong_components(current)
-        assert next_cond.r < cond.r
-        cond = next_cond
-    return added, current
+def _extend_from(g: StrictDigraph, cond: Condensation) -> ExtensionPlan:
+    """Strong extension of a connectable digraph g with condensation cond."""
+    if cond.r == 1:
+        return ExtensionPlan((), g)
+    if cond.c > 1 and all(len(group) == 1 for group in cond.weak_groups):
+        added = _link_strong_components(cond)
+        return ExtensionPlan(tuple(added), g.with_edges(added))
+    growth = _Growth(g, cond)
+    added = []
+    if cond.c > 1:
+        added = _link_weak_components(cond, growth.down)
+        for u, v in added:
+            growth.add_edge(u, v)
+    added += growth.grow()
+    return ExtensionPlan(tuple(added), g.with_edges(added))
 
 
 def extend_connected(g: StrictDigraph) -> ExtensionPlan:
     """Strong extension of a weakly connected digraph with at most r - 1 edges."""
     _require_order(g)
-    if len(weak_components(g)) != 1:
+    cond = strong_components(g)
+    if cond.c != 1:
         raise DisconnectedError("digraph is not weakly connected")
     _require_no_complete_dicut(g)
-    added, result = _grow_until_strong(g)
-    return ExtensionPlan(tuple(added), result)
+    return _extend_from(g, cond)
 
 
 def extend(g: StrictDigraph) -> ExtensionPlan:
     """Strong extension of any strongly connectable digraph, at most r edges.
 
     Exactly r edges are used only when g is disconnected with every weak
-    component strong; otherwise at most r - 1.
+    component strong; otherwise at most r - 1.  The input is condensed once;
+    the construction then merges components as it adds edges and builds the
+    resulting digraph at the end.
     """
     _require_order(g)
     _require_no_complete_dicut(g)
-    cond = strong_components(g)
-    if cond.c == 1:
-        added, result = _grow_until_strong(g)
-        return ExtensionPlan(tuple(added), result)
-    groups = [cond.components_in_weak(wid) for wid in range(cond.c)]
-    if all(len(group) == 1 for group in groups):
-        bridge = _link_strong_components(cond)
-        result = g.with_edges(bridge)
-        assert is_strong(result)
-        return ExtensionPlan(tuple(bridge), result)
-    bridge = _link_weak_components(cond, groups)
-    more, result = _grow_until_strong(g.with_edges(bridge))
-    return ExtensionPlan(tuple(bridge) + tuple(more), result)
+    return _extend_from(g, strong_components(g))
 
 
 def _link_strong_components(cond: Condensation) -> list[Edge]:
@@ -176,32 +265,32 @@ def _link_strong_components(cond: Condensation) -> list[Edge]:
     return [forward, backward]
 
 
-def _link_weak_components(cond: Condensation, groups: list[list[int]]) -> list[Edge]:
+def _link_weak_components(cond: Condensation, down: list[int]) -> list[Edge]:
     """One edge from each weak component's chosen sink into the next's source.
 
     In each weak component the smallest-id source component is chosen; the
     exit point is that component itself when the weak component is strong,
-    otherwise the smallest-id sink component reachable from it.
+    otherwise the smallest-id sink component reachable from it.  ``down[cid]``
+    is the bitmask of the vertices reachable from component cid.
     """
-    k = len(groups)
     entry: list[int] = []
     exits: list[int] = []
-    for group in groups:
+    for group in cond.weak_groups:
         s_cid = next(cid for cid in group if cid in cond.source_components)
-        if len(group) == 1:
-            t_cid = s_cid
-        else:
-            reach = cond.quotient_reachable(s_cid)
+        t_cid = s_cid
+        if len(group) > 1:
             t_cid = next(
                 cid
                 for cid in group
-                if cid in cond.sink_components and cid in reach
+                if cid in cond.sink_components
+                and down[s_cid] >> cond.components[cid][0] & 1
             )
         entry.append(cond.components[s_cid][0])
         exits.append(cond.components[t_cid][0])
+    k = len(entry)
     edges = [(exits[i], entry[(i + 1) % k]) for i in range(k)]
-    if k == 2:
-        assert set(edges[0]) != set(edges[1])
+    if k == 2 and set(edges[0]) == set(edges[1]):
+        raise AssertionError("both linking edges join the same vertex pair")
     return edges
 
 
@@ -212,12 +301,14 @@ def bounds(g: StrictDigraph, *, brute: bool = True) -> BoundsReport:
     """
     _require_order(g)
     _require_no_complete_dicut(g)
-    cond = strong_components(g)
+    return _bounds_from(g, strong_components(g), brute)
+
+
+def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsReport:
+    """Bounds for a connectable digraph g with condensation cond."""
     lower = max(cond.s, cond.t) if cond.r > 1 else 0
     lower_matched = _oriented_bipartite_bound(g)
-    all_weak_strong = all(
-        len(cond.components_in_weak(wid)) == 1 for wid in range(cond.c)
-    )
+    all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
     upper_theorem = cond.r if (cond.c > 1 and all_weak_strong) else cond.r - 1
     upper_cyclic = upper_prop = None
     if cond.c > 1:
@@ -230,7 +321,8 @@ def bounds(g: StrictDigraph, *, brute: bool = True) -> BoundsReport:
         and len(g.nonadjacent_pairs()) <= MIN_EXTENSION_PAIR_BUDGET
     ):
         result = brute_force_min_extension(g)
-        assert result is not None
+        if result is None:
+            raise AssertionError("no strong extension of a dicut-free digraph")
         brute_min = result[0]
     return BoundsReport(
         lower=lower,
@@ -295,22 +387,22 @@ def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
 def _best_cyclic_bound(cond: Condensation) -> int:
     """Upper bound from linking weak components in a cyclic order.
 
-    Joining consecutive components costs max(t_prev, s_next) edges.  The
-    base order sorts weak components by smallest vertex; all orders are
-    tried for small counts, otherwise the rotations of the base order.
+    Joining consecutive components costs max(t_prev, s_next) edges.  Every
+    rotation of a cyclic order has the same consecutive pairs, so up to
+    CYCLIC_ORDER_PERMUTATION_LIMIT weak components the orders starting with
+    weak component 0 are all tried; above it only the base order, by
+    smallest vertex, is.
     """
     per_weak: list[tuple[int, int]] = []
-    for wid in range(cond.c):
-        group = cond.components_in_weak(wid)
+    for group in cond.weak_groups:
         s_w = sum(1 for cid in group if cid in cond.source_components)
         t_w = sum(1 for cid in group if cid in cond.sink_components)
         per_weak.append((s_w, t_w))
     k = cond.c
-    base = tuple(range(k))
     if k <= CYCLIC_ORDER_PERMUTATION_LIMIT:
-        orders = itertools.permutations(base)
+        orders = ((0,) + rest for rest in itertools.permutations(range(1, k)))
     else:
-        orders = (base[i:] + base[:i] for i in range(k))
+        orders = [tuple(range(k))]
     return min(
         sum(
             max(per_weak[order[i - 1]][1], per_weak[order[i]][0])

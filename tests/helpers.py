@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from strongext import StrictDigraph, weak_components
+from strongext import StrictDigraph, strong_components, weak_components
 
 
 def _closure_masks(n: int, edges) -> list[int]:
@@ -184,3 +184,82 @@ def criterion_sample(seed: int, count: int = 1000) -> list[StrictDigraph]:
         else:
             sample.append(random_dicut_free(rng))
     return sample
+
+
+def oracle_extend(g: StrictDigraph) -> tuple[tuple, StrictDigraph]:
+    """The extension construction, recomputing everything after every step.
+
+    Each round recomputes the condensation of the current digraph, applies
+    the source-cut step rule to it and builds a new validated digraph.  It is
+    the literal form of the constructive proof, and the reference that the
+    library's single-condensation construction must match edge for edge.
+    The input must have at least 3 vertices and no complete dicut.
+    """
+    cond = strong_components(g)
+    if cond.c == 1:
+        return _oracle_grow(g)
+    groups = [cond.components_in_weak(wid) for wid in range(cond.c)]
+    if all(len(group) == 1 for group in groups):
+        bridge = _oracle_link_strong(cond)
+        return tuple(bridge), g.with_edges(bridge)
+    bridge = _oracle_link_weak(cond, groups)
+    more, result = _oracle_grow(g.with_edges(bridge))
+    return tuple(bridge) + more, result
+
+
+def _oracle_grow(g: StrictDigraph) -> tuple[tuple, StrictDigraph]:
+    added = []
+    cond = strong_components(g)
+    while cond.r > 1:
+        step = _oracle_step(g, cond)
+        added.extend(step)
+        g = g.with_edges(step)
+        cond = strong_components(g)
+    return tuple(added), g
+
+
+def _oracle_step(g: StrictDigraph, cond) -> list[tuple[int, int]]:
+    src = sorted(v for cid in cond.source_components for v in cond.components[cid])
+    src_set = set(src)
+    outside = [v for v in range(g.n) if v not in src_set]
+    y, x = next(
+        (y, x) for y in src for x in outside if (y, x) not in g.edges
+    )
+    added = [(x, y)]
+    cx, cy = cond.component_of[x], cond.component_of[y]
+    if cx not in cond.quotient_reachable(cy):
+        source_preds = sorted(
+            cid
+            for cid in cond.source_components
+            if cx in cond.quotient_reachable(cid)
+        )
+        added.append((y, cond.components[source_preds[0]][0]))
+    return added
+
+
+def _oracle_link_strong(cond) -> list[tuple[int, int]]:
+    blocks = cond.weak_components
+    k = len(blocks)
+    if k > 2:
+        reps = [block[0] for block in blocks]
+        return [(reps[i], reps[(i + 1) % k]) for i in range(k)]
+    first, second = blocks
+    if len(second) >= 2:
+        return [(first[0], second[0]), (second[1], first[0])]
+    return [(first[0], second[0]), (second[0], first[1])]
+
+
+def _oracle_link_weak(cond, groups) -> list[tuple[int, int]]:
+    entry, exits = [], []
+    for group in groups:
+        s_cid = next(cid for cid in group if cid in cond.source_components)
+        t_cid = s_cid
+        if len(group) > 1:
+            reach = cond.quotient_reachable(s_cid)
+            t_cid = next(
+                cid for cid in group if cid in cond.sink_components and cid in reach
+            )
+        entry.append(cond.components[s_cid][0])
+        exits.append(cond.components[t_cid][0])
+    k = len(groups)
+    return [(exits[i], entry[(i + 1) % k]) for i in range(k)]

@@ -38,6 +38,7 @@ from helpers import (
     all_tournaments,
     criterion_sample,
     has_strong_completion,
+    oracle_extend,
     oracle_is_strong,
     random_digraph,
 )
@@ -69,15 +70,21 @@ def _sample() -> tuple[StrictDigraph, ...]:
 
 def test_criterion_01_connectable_iff_dicut_free():
     label = "dicut-free digraphs are exactly the strongly connectable ones (n <= 5)"
+    # the same pass checks the construction against the re-condensing oracle
     with criterion(1, label):
         for n in (3, 4):
             for g in all_strict_digraphs(n):
                 dicut_free = find_complete_dicut(g) is None
                 assert dicut_free == has_strong_completion(g)
+                if dicut_free:
+                    plan = extend(g)
+                    assert (plan.added, plan.resulting) == oracle_extend(g)
         for g in all_strict_digraphs(5):
             cert = find_complete_dicut(g)
             if cert is None:
-                assert oracle_is_strong(extend(g).resulting)
+                plan = extend(g)
+                assert oracle_is_strong(plan.resulting)
+                assert (plan.added, plan.resulting) == oracle_extend(g)
             else:
                 assert verify_complete_dicut(g, cert)
 

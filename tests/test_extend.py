@@ -1,3 +1,6 @@
+import itertools
+from random import Random
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -30,7 +33,13 @@ from strongext import (
     weak_components,
 )
 
-from helpers import oracle_is_strong
+from strongext.extend import CYCLIC_ORDER_PERMUTATION_LIMIT, _best_cyclic_bound
+
+from helpers import (
+    oracle_extend,
+    oracle_is_strong,
+    random_strong_blob,
+)
 from strategies import strict_digraphs, tournaments
 
 PATH3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2)])
@@ -136,6 +145,165 @@ class TestExtend:
             assert len(plan.added) == r
         else:
             assert len(plan.added) <= r - 1
+
+
+def topological_dag(rng: Random, n: int, p: float) -> set[tuple[int, int]]:
+    """Forward edges i -> j (i < j), each with probability p."""
+    return {
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    }
+
+
+def sparse_topological_dag(rng: Random, n: int) -> set[tuple[int, int]]:
+    """A random forward tree plus about n/2 further forward edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return edges
+
+
+def weakly_connected_block(rng: Random, size: int) -> set[tuple[int, int]]:
+    """Randomly oriented spanning tree plus random further edges."""
+    edges = set()
+    for v in range(1, size):
+        u = rng.randrange(v)
+        edges.add((u, v) if rng.random() < 0.5 else (v, u))
+    for u, v in itertools.combinations(range(size), 2):
+        if (u, v) not in edges and (v, u) not in edges and rng.random() < 0.3:
+            edges.add((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+def disjoint_union(rng: Random, blocks, shuffle: bool) -> StrictDigraph:
+    """Blocks given as (size, edges) side by side, optionally relabelled."""
+    n = sum(size for size, _ in blocks)
+    labels = list(range(n))
+    if shuffle:
+        rng.shuffle(labels)
+    edges = set()
+    base = 0
+    for size, block in blocks:
+        edges |= {(labels[base + u], labels[base + v]) for u, v in block}
+        base += size
+    return StrictDigraph(n, frozenset(edges))
+
+
+def oracle_corpus() -> list[StrictDigraph]:
+    """Seeded connectable inputs up to n = 200 that take many rounds.
+
+    Topologically labelled DAGs (dense and sparse), the same shapes
+    relabelled, and disconnected inputs that are linked into one weak
+    component before they grow.
+    """
+    rng = Random(20261018)
+    graphs = []
+    for n in (12, 40, 90, 200):
+        graphs.append(disjoint_union(rng, [(n, topological_dag(rng, n, 0.5))], False))
+        graphs.append(disjoint_union(rng, [(n, sparse_topological_dag(rng, n))], False))
+        graphs.append(disjoint_union(rng, [(n, topological_dag(rng, n, 0.2))], True))
+    for total in (10, 30, 60, 120, 200):
+        blocks = []
+        while (left := total - sum(size for size, _ in blocks)) > 0:
+            kind = rng.randrange(4) if left >= 3 else 3
+            if kind == 3:
+                blocks.append((1, set()))
+                continue
+            size = rng.randint(3, min(left, max(3, total // 3)))
+            if kind == 0:
+                blocks.append((size, topological_dag(rng, size, 0.4)))
+            elif kind == 1:
+                blocks.append((size, sparse_topological_dag(rng, size)))
+            else:
+                blocks.append((size, random_strong_blob(rng, list(range(size)))))
+        for shuffle in (False, True):
+            graphs.append(disjoint_union(rng, blocks, shuffle))
+    return [g for g in graphs if find_complete_dicut(g) is None]
+
+
+def assert_matches_oracle(g: StrictDigraph):
+    plan = extend(g)
+    added, resulting = oracle_extend(g)
+    assert plan.added == added
+    assert plan.resulting == resulting
+    assert is_strong(plan.resulting)
+
+
+class TestExtendMatchesOracle:
+    """The single-condensation construction against the re-condensing one.
+
+    Every connectable digraph with n <= 5 is compared inside acceptance
+    criterion 1, which enumerates them anyway.
+    """
+
+    def test_pinned_cases(self):
+        cases = [
+            PATH3,
+            CYCLE3,
+            TT4_MINUS_PATH,
+            TWO_CYCLES,
+            PATH_PLUS_ISOLATED,
+            K22_MINUS,
+            StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+            StrictDigraph(3, frozenset()),
+            gen_tt_minus_path(7),
+            gen_bipartite_plus_isolated(2, 3),
+            gen_disjoint_cycles(4, 3),
+        ]
+        for g in cases:
+            assert_matches_oracle(g)
+
+    def test_seeded_corpus(self):
+        corpus = oracle_corpus()
+        assert len(corpus) >= 20
+        assert max(g.n for g in corpus) == 200
+        linked_then_grown = [
+            cond
+            for cond in map(strong_components, corpus)
+            if cond.c > 1 and any(len(group) > 1 for group in cond.weak_groups)
+        ]
+        assert len(linked_then_grown) >= 8
+        for g in corpus:
+            assert_matches_oracle(g)
+
+    def test_returns_strong_input_unchanged(self):
+        g = gen_disjoint_cycles(5, 1)
+        assert extend(g).resulting is g
+
+
+def full_cyclic_search(cond) -> int:
+    """Cyclic linking bound minimized over every order of the weak components."""
+    per_weak = [
+        (
+            sum(1 for cid in group if cid in cond.source_components),
+            sum(1 for cid in group if cid in cond.sink_components),
+        )
+        for group in cond.weak_groups
+    ]
+    k = cond.c
+    return min(
+        sum(max(per_weak[o[i - 1]][1], per_weak[o[i]][0]) for i in range(k))
+        for o in itertools.permutations(range(k))
+    )
+
+
+class TestCyclicBound:
+    def test_matches_full_permutation_search(self):
+        rng = Random(20261019)
+        for c in range(1, CYCLIC_ORDER_PERMUTATION_LIMIT + 1):
+            for _ in range(3):
+                blocks = []
+                for _ in range(c):
+                    size = rng.randint(1, 5)
+                    blocks.append((size, weakly_connected_block(rng, size)))
+                cond = strong_components(disjoint_union(rng, blocks, True))
+                assert cond.c == c
+                assert _best_cyclic_bound(cond) == full_cyclic_search(cond)
+
+    def test_base_order_above_limit(self):
+        k = CYCLIC_ORDER_PERMUTATION_LIMIT + 1
+        cond = strong_components(gen_disjoint_cycles(3, k))
+        assert _best_cyclic_bound(cond) == k
 
 
 class TestBounds:
