@@ -177,9 +177,17 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; undecodable bytes are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_graph(path: str) -> StrictDigraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(path))
 
 
 def cmd_analyze(args) -> int:
@@ -191,8 +199,7 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     g = _read_graph(args.file)
     if args.verify is not None:
-        with open(args.verify, encoding="utf-8") as fh:
-            return _verify_certificate(g, fh.read())
+        return _verify_certificate(g, _read_text(args.verify))
     plan = extend(g)
     for u, v in plan.added:
         print(f"+ {u} {v}")
@@ -290,8 +297,7 @@ def cmd_bounds(args) -> int:
 
 
 def _read_dice(path: str) -> DiceSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_dice(fh.read())
+    return parse_dice(_read_text(path))
 
 
 def _balance_fields(d: DiceSet) -> tuple[bool | None, Fraction | None]:

@@ -201,21 +201,18 @@ def realization_search_space(n: int, k: int) -> int:
     return math.factorial(n * k) // math.factorial(k) ** n
 
 
-def _has_directed_cycle(g: StrictDigraph) -> bool:
-    degree = [0] * g.n
-    for _, v in g.edges:
-        degree[v] += 1
-    queue = [v for v in range(g.n) if degree[v] == 0]
-    seen = 0
-    adj = g.out_adj()
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in adj[u]:
-            degree[v] -= 1
-            if degree[v] == 0:
-                queue.append(v)
-    return seen < g.n
+def _tournament_has_cycle(t: StrictDigraph) -> bool:
+    """Whether a tournament has a directed cycle.
+
+    An acyclic tournament is transitive, with out-degrees 0, 1, ..., n - 1;
+    conversely n distinct out-degrees must be those, and the vertex of
+    out-degree n - 1 beats every other, so induction gives a transitive
+    order.  Hence a cycle exists iff two out-degrees are equal.
+    """
+    out = [0] * t.n
+    for u, _ in t.edges:
+        out[u] += 1
+    return len(set(out)) < t.n
 
 
 def search_balanced_realization(
@@ -251,9 +248,10 @@ def search_balanced_realization(
             beats = beats_digraph(candidate, direction)
             if not h.edges <= beats.edges:
                 return None
-            # cycle existence is invariant under edge reversal, so the
-            # direction flag does not matter here
-            if not _has_directed_cycle(beats):
+            # balanced at p > 1/2 decides every pair, so beats is a
+            # tournament; cycle existence is invariant under edge
+            # reversal, so the direction flag does not matter here
+            if not _tournament_has_cycle(beats):
                 return None
             return candidate
         for i in range(n):

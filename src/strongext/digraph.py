@@ -207,20 +207,6 @@ class Condensation:
         """Sorted ids of the strong components inside weak component wid."""
         return list(self.weak_groups[wid])
 
-    def quotient_reachable(self, cid: int) -> frozenset[int]:
-        """Component ids reachable from cid by a nonempty quotient path."""
-        adj: dict[int, list[int]] = {}
-        for a, b in self.quotient_edges:
-            adj.setdefault(a, []).append(b)
-        seen: set[int] = set()
-        stack = list(adj.get(cid, []))
-        while stack:
-            x = stack.pop()
-            if x not in seen:
-                seen.add(x)
-                stack.extend(adj.get(x, []))
-        return frozenset(seen)
-
 
 def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
     """Iterative Tarjan strongly connected components."""

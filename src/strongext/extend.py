@@ -368,20 +368,35 @@ def bipartite_matching_lower_bound(g: StrictDigraph, xs, ys) -> int:
 
 
 def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
-    """Maximum bipartite matching size by augmenting paths."""
-    matched: dict[int, int] = {}
+    """Maximum bipartite matching size by augmenting paths.
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adj[u]:
-            if v in seen:
+    Each left vertex in turn starts a depth-first search for an augmenting
+    path.  The search keeps its path on explicit stacks, so the path length
+    is not limited by the recursion depth.
+    """
+    matched: dict[int, int] = {}
+    size = 0
+    for root in left:
+        seen: set[int] = set()
+        # lefts[i][0] is entered through rights[i - 1]; lefts[i][1] holds
+        # its untried candidates
+        lefts, rights = [(root, iter(adj[root]))], []
+        while lefts:
+            v = next((v for v in lefts[-1][1] if v not in seen), None)
+            if v is None:
+                lefts.pop()
+                if rights:
+                    rights.pop()
                 continue
             seen.add(v)
-            if v not in matched or augment(matched[v], seen):
-                matched[v] = u
-                return True
-        return False
-
-    return sum(1 for u in left if augment(u, set()))
+            rights.append(v)
+            if v not in matched:
+                for (u, _), w in zip(lefts, rights):
+                    matched[w] = u
+                size += 1
+                break
+            lefts.append((matched[v], iter(adj[matched[v]])))
+    return size
 
 
 def _best_cyclic_bound(cond: Condensation) -> int:
@@ -502,7 +517,8 @@ def _insert_single(t: StrictDigraph, cycle: list[int], remaining: list[int]) -> 
 def _splice_pair(t: StrictDigraph, cycle: list[int], remaining: list[int]):
     winners = [v for v in remaining if all(t.has_edge(v, c) for c in cycle)]
     losers = [v for v in remaining if all(t.has_edge(c, v) for c in cycle)]
-    assert len(winners) + len(losers) == len(remaining)
+    if len(winners) + len(losers) != len(remaining):
+        raise AssertionError("a remaining vertex could have been inserted singly")
     for s in losers:
         for d in winners:
             if t.has_edge(s, d):

@@ -10,7 +10,12 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from strongext import StrictDigraph, strong_components, weak_components
+from strongext import (
+    DicutCertificate,
+    StrictDigraph,
+    strong_components,
+    weak_components,
+)
 
 
 def _closure_masks(n: int, edges) -> list[int]:
@@ -62,6 +67,84 @@ def oracle_has_complete_dicut(g: StrictDigraph) -> bool:
         if ok:
             return True
     return False
+
+
+def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
+    """Complete-dicut detector by merging blocks that must share a side.
+
+    Non-adjacent vertices must share a side of any complete dicut, so start
+    from the connected components of the complement of the underlying graph.
+    Two blocks joined by edges in both directions must also share a side;
+    merge such blocks until none remain.  Every surviving pair of blocks is
+    then fully adjacent in a single direction, so the block quotient is a
+    tournament.  A complete dicut exists exactly when that tournament is not
+    strong, and the candidate sides are the topological prefixes of its
+    condensation; the one with lexicographically smallest vertex list is
+    returned, matching the brute-force oracle.  This is the reference that
+    the library's score-sequence detector must match certificate for
+    certificate above the brute-force budget.
+    """
+    if g.n <= 1:
+        return None
+    parent = list(range(g.n))
+
+    def find_root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int):
+        ra, rb = find_root(a), find_root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.adjacent(u, v):
+                union(u, v)
+    while True:
+        directions: dict[tuple[int, int], set[bool]] = {}
+        for u, v in g.edges:
+            ru, rv = find_root(u), find_root(v)
+            if ru == rv:
+                continue
+            key = (min(ru, rv), max(ru, rv))
+            directions.setdefault(key, set()).add(ru < rv)
+        merged = False
+        for (a, b), dirs in directions.items():
+            if len(dirs) == 2:
+                union(a, b)
+                merged = True
+        if not merged:
+            break
+    roots = sorted({find_root(v) for v in range(g.n)})
+    if len(roots) == 1:
+        return None
+    block_id = {root: i for i, root in enumerate(roots)}
+    blocks: list[list[int]] = [[] for _ in roots]
+    for v in range(g.n):
+        blocks[block_id[find_root(v)]].append(v)
+    quotient_edges = {
+        (block_id[find_root(u)], block_id[find_root(v)])
+        for u, v in g.edges
+        if find_root(u) != find_root(v)
+    }
+    q = len(roots)
+    if len(quotient_edges) != q * (q - 1) // 2:
+        raise AssertionError("block quotient is not a tournament")
+    cond = strong_components(StrictDigraph(q, frozenset(quotient_edges)))
+    if cond.r == 1:
+        return None
+    best: tuple[int, ...] | None = None
+    side: list[int] = []
+    for cid in range(cond.r - 1):
+        for b in cond.components[cid]:
+            side.extend(blocks[b])
+        candidate = tuple(sorted(side))
+        if best is None or candidate < best:
+            best = candidate
+    return DicutCertificate(frozenset(best))
 
 
 def all_strict_digraphs(n: int):
@@ -186,6 +269,21 @@ def criterion_sample(seed: int, count: int = 1000) -> list[StrictDigraph]:
     return sample
 
 
+def quotient_reachable(cond, cid: int) -> frozenset[int]:
+    """Component ids reachable from cid by a nonempty quotient path."""
+    adj: dict[int, list[int]] = {}
+    for a, b in cond.quotient_edges:
+        adj.setdefault(a, []).append(b)
+    seen: set[int] = set()
+    stack = list(adj.get(cid, []))
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(adj.get(x, []))
+    return frozenset(seen)
+
+
 def oracle_extend(g: StrictDigraph) -> tuple[tuple, StrictDigraph]:
     """The extension construction, recomputing everything after every step.
 
@@ -227,11 +325,11 @@ def _oracle_step(g: StrictDigraph, cond) -> list[tuple[int, int]]:
     )
     added = [(x, y)]
     cx, cy = cond.component_of[x], cond.component_of[y]
-    if cx not in cond.quotient_reachable(cy):
+    if cx not in quotient_reachable(cond, cy):
         source_preds = sorted(
             cid
             for cid in cond.source_components
-            if cx in cond.quotient_reachable(cid)
+            if cx in quotient_reachable(cond, cid)
         )
         added.append((y, cond.components[source_preds[0]][0]))
     return added
@@ -255,7 +353,7 @@ def _oracle_link_weak(cond, groups) -> list[tuple[int, int]]:
         s_cid = next(cid for cid in group if cid in cond.source_components)
         t_cid = s_cid
         if len(group) > 1:
-            reach = cond.quotient_reachable(s_cid)
+            reach = quotient_reachable(cond, s_cid)
             t_cid = next(
                 cid for cid in group if cid in cond.sink_components and cid in reach
             )

@@ -79,6 +79,13 @@ class TestAnalyze:
         assert payload["bounds"]["lower_matched"] is None
         assert payload["bounds"]["brute_min"] == 1
 
+    def test_json_edgeless_large(self, capsys, write):
+        code, out, _ = run(capsys, "analyze", "--json", write("n 20000\n"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "strongly-connectable"
+        assert len(payload["plan"]["added"]) == 20000
+
     def test_json_dicut(self, capsys, write):
         code, out, _ = run(capsys, "analyze", write(TT3), "--json")
         assert code == 1
@@ -381,6 +388,21 @@ class TestPlumbing:
         code, _, err = run(capsys, "analyze", "/nonexistent/graph.txt")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv", [("analyze",), ("dice", "eval"), ("certify", "--verify")]
+    )
+    def test_non_utf8_input_is_an_error(self, capsys, tmp_path, write, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("n 3\n0 1 # caf\xe9\n".encode("latin-1"))
+        if argv[0] == "certify":
+            argv = ("certify", write(PATH3), "--verify", str(bad))
+        else:
+            argv = argv + (str(bad),)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
 
     def test_parse_error_reports_line(self, capsys, write):
         code, _, err = run(capsys, "analyze", write("n 3\n0 0\n"))

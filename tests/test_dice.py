@@ -18,10 +18,13 @@ from strongext import (
     realizes,
     search_balanced_realization,
     serialize_dice,
+    strong_components,
     win_matrix,
     win_probability,
 )
+from strongext.dice import _tournament_has_cycle
 
+from helpers import all_tournaments
 from strategies import dice_sets
 
 ROCK_PAPER = DiceSet(((1, 5, 9), (3, 4, 8), (2, 6, 7)))
@@ -230,6 +233,14 @@ class TestOrderIsomorphism:
         assert win_matrix(mapped) == win_matrix(d)
         assert beats_digraph(mapped) == beats_digraph(d)
         assert is_balanced(mapped) == is_balanced(d)
+
+
+class TestTournamentCycleCheck:
+    def test_matches_condensation_on_small_tournaments(self):
+        # a tournament has a cycle iff some strong component has 2+ vertices
+        for n in range(7):
+            for t in all_tournaments(n):
+                assert _tournament_has_cycle(t) == (strong_components(t).r < t.n)
 
 
 class TestSearch:

@@ -1,3 +1,6 @@
+import itertools
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +17,11 @@ from strongext import (
     verify_complete_dicut,
 )
 
-from helpers import all_strict_digraphs, has_strong_completion
+from helpers import (
+    all_strict_digraphs,
+    has_strong_completion,
+    oracle_find_complete_dicut,
+)
 from strategies import strict_digraphs
 
 PATH3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2)])
@@ -140,6 +147,83 @@ class TestDetectorAgreement:
     def test_dicut_blocks_every_completion(self, g):
         if find_complete_dicut(g) is not None:
             assert not has_strong_completion(g)
+
+
+def relabel(rng: Random, n: int, edges) -> StrictDigraph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return StrictDigraph(n, frozenset((perm[u], perm[v]) for u, v in edges))
+
+
+def layered(rng: Random, sizes: list[int], missing: float) -> StrictDigraph:
+    """Every edge from an earlier layer to a later one, plus a regular
+    tournament inside each odd-sized layer, so the vertices of a layer tie
+    in out-degree minus in-degree.  Each pair is then left out with
+    probability ``missing``; a pair left out between two layers destroys
+    the complete dicuts that separate them.
+    """
+    layer_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    edges = []
+    for u, v in itertools.combinations(range(len(layer_of)), 2):
+        if rng.random() < missing:
+            continue
+        lu, lv = layer_of[u], layer_of[v]
+        if lu != lv:
+            edges.append((u, v))
+        elif v - u <= sizes[lu] // 2:
+            edges.append((u, v))
+        else:
+            edges.append((v, u))
+    return relabel(rng, len(layer_of), edges)
+
+
+def detector_corpus() -> list[StrictDigraph]:
+    """Seeded inputs with 23 to 200 vertices, above the brute-force budget.
+
+    Relabelled transitive tournaments (a complete dicut of every size),
+    tournaments and near-tournaments built from tied layers, with and
+    without planted complete dicuts, sparse DAGs and edgeless graphs.
+    """
+    rng = Random(20261018)
+    graphs = []
+    for n in (23, 61, 200):
+        graphs.append(relabel(rng, n, itertools.combinations(range(n), 2)))
+        graphs.append(StrictDigraph(n, frozenset()))
+        dag = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < 3 / n
+        ]
+        graphs.append(relabel(rng, n, dag))
+    for _ in range(30):
+        n = rng.randint(23, 200)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 5)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        missing = rng.choice([0.0, 0.0, 0.002, 0.01, 0.05])
+        graphs.append(layered(rng, sizes, missing))
+    return graphs
+
+
+class TestOracleAgreement:
+    """The score detector against the block-merging detector it replaced,
+    certificate for certificate."""
+
+    def test_exhaustive_small(self):
+        for n in range(6):
+            for g in all_strict_digraphs(n):
+                assert find_complete_dicut(g) == oracle_find_complete_dicut(g)
+
+    def test_seeded_corpus_above_brute_force_budget(self):
+        corpus = detector_corpus()
+        assert min(g.n for g in corpus) == 23
+        assert max(g.n for g in corpus) == 200
+        found = [find_complete_dicut(g) for g in corpus]
+        assert sum(cert is not None for cert in found) >= 15
+        assert sum(cert is None for cert in found) >= 10
+        for g, cert in zip(corpus, found):
+            assert cert == oracle_find_complete_dicut(g)
+            if cert is not None:
+                assert verify_complete_dicut(g, cert)
 
 
 class TestDeficiency:

@@ -33,7 +33,11 @@ from strongext import (
     weak_components,
 )
 
-from strongext.extend import CYCLIC_ORDER_PERMUTATION_LIMIT, _best_cyclic_bound
+from strongext.extend import (
+    CYCLIC_ORDER_PERMUTATION_LIMIT,
+    _best_cyclic_bound,
+    _max_matching,
+)
 
 from helpers import (
     oracle_extend,
@@ -403,6 +407,38 @@ class TestMatchingBound:
     def test_rejects_wrong_orientation(self):
         with pytest.raises(InvalidInputError):
             bipartite_matching_lower_bound(K22_MINUS, [2, 3], [0, 1])
+
+    def test_matching_is_maximum(self):
+        rng = Random(5309)
+        for _ in range(300):
+            left = list(range(rng.randint(1, 6)))
+            right = list(range(10, 10 + rng.randint(1, 6)))
+            adj = {u: [v for v in right if rng.random() < 0.4] for u in left}
+            pairs = [(u, v) for u in left for v in adj[u]]
+            best = max(
+                size
+                for size in range(len(left) + 1)
+                for chosen in itertools.combinations(pairs, size)
+                if len({u for u, _ in chosen}) == len({v for _, v in chosen}) == size
+            )
+            assert _max_matching(left, adj) == best
+
+    def test_long_augmenting_path(self):
+        # the only non-edges pair y_i with x_i and x_{i+1}, and y_1100 with
+        # x_0: matching y_1100 shifts every earlier y along a 1101-long path
+        size = 1101
+        xs = list(range(size))
+        ys = list(range(size, 2 * size))
+        missing = {(i, size + i) for i in range(size - 1)}
+        missing |= {(i + 1, size + i) for i in range(size - 1)}
+        missing.add((0, 2 * size - 1))
+        g = StrictDigraph(
+            2 * size,
+            frozenset(
+                (x, y) for x in xs for y in ys if (x, y) not in missing
+            ),
+        )
+        assert bipartite_matching_lower_bound(g, xs, ys) == size
 
     def test_sound_on_random_bipartite(self):
         import itertools
