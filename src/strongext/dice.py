@@ -226,42 +226,78 @@ def search_balanced_realization(
     enumerated by assigning values in increasing order to the lowest-index
     die with spare capacity, so the first hit is deterministic.  Returns
     None when no deal on these face counts works.
+
+    Faces arrive in increasing order, so a face v put on die i wins against
+    every face already on die j and loses to every later one: the win count
+    of i against j grows by |die j| and never shrinks.  A partial deal is
+    abandoned as soon as no completion can be accepted, which leaves the
+    order of the accepted deals, and so the first hit, unchanged.
     """
     if h.n < 3:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
     if k < 1:
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
+    if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+        raise InvalidDiceError(f"unknown edge direction {direction!r}")
     space = realization_search_space(h.n, k)
     if space > SEARCH_BUDGET:
         raise BudgetError(
             f"search space {space} exceeds the budget of {SEARCH_BUDGET}"
         )
-    n = h.n
+    n, total = h.n, k * k
+    # every pair must end at one common P > total / 2 wins for its winner
+    least = total // 2 + 1
+    # winners[i] lists the dice that h needs to beat die i
+    winners: list[list[int]] = [[] for _ in range(n)]
+    for u, v in h.edges:
+        if direction == WINNER_TO_LOSER:
+            winners[v].append(u)
+        else:
+            winners[u].append(v)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     dice: list[list[int]] = [[] for _ in range(n)]
+    wins = [[0] * n for _ in range(n)]
 
-    def deal(value: int) -> DiceSet | None:
+    def feasible(i: int) -> bool:
+        """Whether the deal can still be completed after a face on die i."""
+        row = wins[i]
+        for w in winners[i]:
+            if 2 * row[w] >= total:
+                return False
+        low, high = least, total
+        for a, b in pairs:
+            x, y = wins[a][b], wins[b][a]
+            if x < y:
+                x, y = y, x
+            if x > low:
+                low = x
+            if total - y < high:
+                high = total - y
+        return low <= high
+
+    def deal(value: int) -> bool:
         if value > n * k:
-            candidate = DiceSet(tuple(tuple(die) for die in dice))
-            balanced, p = is_balanced(candidate)
-            if not balanced or 2 * p.numerator <= p.denominator:
-                return None
-            beats = beats_digraph(candidate, direction)
-            if not h.edges <= beats.edges:
-                return None
-            # balanced at p > 1/2 decides every pair, so beats is a
-            # tournament; cycle existence is invariant under edge
-            # reversal, so the direction flag does not matter here
-            if not _tournament_has_cycle(beats):
-                return None
-            return candidate
+            # every pair is decided at one P > total / 2 and h's edges are
+            # won; what is left is the rule of _tournament_has_cycle
+            scores = {sum(2 * c > total for c in row) for row in wins}
+            return len(scores) < n
         for i in range(n):
-            if len(dice[i]) == k:
+            die = dice[i]
+            if len(die) == k:
                 continue
-            dice[i].append(value)
-            found = deal(value + 1)
-            if found is not None:
-                return found
-            dice[i].pop()
-        return None
+            row = wins[i]
+            for j in range(n):
+                if j != i:
+                    row[j] += len(dice[j])
+            die.append(value)
+            if feasible(i) and deal(value + 1):
+                return True
+            die.pop()
+            for j in range(n):
+                if j != i:
+                    row[j] -= len(dice[j])
+        return False
 
-    return deal(1)
+    if deal(1):
+        return DiceSet(tuple(tuple(die) for die in dice))
+    return None

@@ -13,6 +13,10 @@ from .errors import ParseError
 
 Edge = tuple[int, int]
 
+# Largest vertex count parse_edge_list accepts: per-vertex lists are built
+# before any edge is read, so a header alone must not exhaust memory.
+MAX_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class StrictDigraph:
@@ -66,12 +70,26 @@ class StrictDigraph:
         return [sorted(s) for s in adj]
 
     def with_edges(self, extra) -> StrictDigraph:
-        """New digraph with the extra edges added; duplicates are rejected."""
+        """New digraph with the extra edges added; duplicates are rejected.
+
+        Only the extra edges are validated, since the existing ones already
+        were; an extra edge repeated in ``extra`` is added once.
+        """
         extra = list(extra)
+        added = set(extra)
         for u, v in extra:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             if (u, v) in self.edges:
                 raise ValueError(f"edge ({u}, {v}) already present")
-        return StrictDigraph(self.n, self.edges | set(extra))
+            if (v, u) in self.edges or (v, u) in added:
+                raise ValueError(f"antiparallel pair between {u} and {v}")
+        result = object.__new__(StrictDigraph)
+        object.__setattr__(result, "n", self.n)
+        object.__setattr__(result, "edges", self.edges | added)
+        return result
 
     def reverse(self) -> StrictDigraph:
         return StrictDigraph(self.n, frozenset((v, u) for u, v in self.edges))
@@ -91,7 +109,8 @@ def parse_edge_list(text: str) -> StrictDigraph:
 
     Blank lines are skipped and lines starting with ``#`` are comments.
     Duplicate edges are deduplicated; loops, antiparallel pairs, and
-    out-of-range indices raise a ParseError naming the offending line.
+    out-of-range indices raise a ParseError naming the offending line, and
+    so does a vertex count above MAX_VERTICES.
     """
     n = None
     edges: set[Edge] = set()
@@ -109,6 +128,10 @@ def parse_edge_list(text: str) -> StrictDigraph:
                 raise ParseError(lineno, f"bad vertex count {tokens[1]!r}") from None
             if n < 0:
                 raise ParseError(lineno, "vertex count must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                )
             continue
         if len(tokens) != 2:
             raise ParseError(lineno, f"expected '<u> <v>', got {line!r}")

@@ -433,8 +433,18 @@ def brute_force_min_extension(
     """Exact minimum strong extension by exhaustive search.
 
     Added-edge sets are enumerated in increasing size and lexicographically
-    within each size; each non-adjacent pair contributes both orientations.
-    Returns None when no strong extension exists at all.
+    within each size; each non-adjacent pair contributes both orientations,
+    and a set uses each pair at most once.  Returns None when no strong
+    extension exists at all.
+
+    A complete dicut joins only adjacent pairs, so no added edge crosses it
+    and the answer is None at once.  Otherwise every source component needs
+    an added edge entering it and every sink component one leaving it, and
+    one edge serves at most one of each: sizes below max(s, t) are skipped,
+    and a partial set is abandoned when the picks left cannot serve the
+    components still unserved, or when one of those has no serving candidate
+    left in the order.  Neither cut removes a set that could succeed, so the
+    first strong set found is the one plain enumeration finds.
     """
     pairs = g.nonadjacent_pairs()
     if len(pairs) > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
@@ -444,17 +454,95 @@ def brute_force_min_extension(
             f"{MIN_EXTENSION_VERTEX_BUDGET} vertices; "
             f"got {len(pairs)} pairs on {g.n} vertices"
         )
-    if is_strong(g):
+    cond = strong_components(g)
+    if cond.r == 1:
         return 0, ExtensionPlan((), g)
+    if find_complete_dicut(g) is not None:
+        return None
+    combo = _min_extension_search(g, cond, pairs)
+    if combo is None:
+        return None
+    return len(combo), ExtensionPlan(combo, g.with_edges(combo))
+
+
+def _min_extension_search(
+    g: StrictDigraph, cond: Condensation, pairs: list[Edge]
+) -> tuple[Edge, ...] | None:
+    """First strong added-edge set in size-then-lexicographic order."""
+    full = (1 << g.n) - 1
     candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
-    for size in range(1, len(pairs) + 1):
-        for combo in itertools.combinations(candidates, size):
-            keys = {(min(u, v), max(u, v)) for u, v in combo}
-            if len(keys) < size:
+    count = len(candidates)
+    pair_of = {pair: i for i, pair in enumerate(pairs)}
+    keys = [pair_of[min(u, v), max(u, v)] for u, v in candidates]
+    # one bit per need: bit i for the i-th source component, which needs an
+    # entering edge, bit s + i for the i-th sink component, which needs a
+    # leaving one; serves[j] holds the needs candidate j meets
+    sources = sorted(cond.source_components)
+    sinks = sorted(cond.sink_components)
+    enter_bit = {cid: 1 << i for i, cid in enumerate(sources)}
+    leave_bit = {cid: 1 << cond.s + i for i, cid in enumerate(sinks)}
+    comp = cond.component_of
+    serves = [
+        0
+        if comp[u] == comp[v]
+        else enter_bit.get(comp[v], 0) | leave_bit.get(comp[u], 0)
+        for u, v in candidates
+    ]
+    last = [-1] * (cond.s + cond.t)  # last candidate meeting each need
+    for j, bits in enumerate(serves):
+        for i in range(cond.s + cond.t):
+            if bits >> i & 1:
+                last[i] = j
+    source_bits = (1 << cond.s) - 1
+    out_mask = [0] * g.n
+    in_mask = [0] * g.n
+    for u, v in g.edges:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    used = [False] * len(pairs)
+    chosen: list[int] = []
+
+    def reaches_all(adj: list[int]) -> bool:
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen == full
+
+    def search(start: int, picks: int, unmet: int) -> bool:
+        if picks == 0:
+            return reaches_all(out_mask) and reaches_all(in_mask)
+        sources_unmet = (unmet & source_bits).bit_count()
+        if sources_unmet > picks or unmet.bit_count() - sources_unmet > picks:
+            return False
+        # the next pick may not pass the last candidate meeting an unmet need
+        stop = count - picks
+        for i, j in enumerate(last):
+            if j < stop and unmet >> i & 1:
+                stop = j
+        for j in range(start, stop + 1):
+            if used[keys[j]]:
                 continue
-            extended = g.with_edges(combo)
-            if is_strong(extended):
-                return size, ExtensionPlan(tuple(combo), extended)
+            u, v = candidates[j]
+            used[keys[j]] = True
+            out_mask[u] |= 1 << v
+            in_mask[v] |= 1 << u
+            chosen.append(j)
+            if search(j + 1, picks - 1, unmet & ~serves[j]):
+                return True
+            chosen.pop()
+            out_mask[u] ^= 1 << v
+            in_mask[v] ^= 1 << u
+            used[keys[j]] = False
+        return False
+
+    unmet = (1 << cond.s + cond.t) - 1
+    for size in range(max(cond.s, cond.t, 1), len(pairs) + 1):
+        if search(0, size, unmet):
+            return tuple(candidates[j] for j in chosen)
     return None
 
 

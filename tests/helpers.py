@@ -11,11 +11,17 @@ import itertools
 from random import Random
 
 from strongext import (
+    DiceSet,
     DicutCertificate,
+    ExtensionPlan,
     StrictDigraph,
+    beats_digraph,
+    is_balanced,
+    is_strong,
     strong_components,
     weak_components,
 )
+from strongext.dice import _tournament_has_cycle
 
 
 def _closure_masks(n: int, edges) -> list[int]:
@@ -158,6 +164,17 @@ def all_strict_digraphs(n: int):
             elif state == 2:
                 edges.add((v, u))
         yield StrictDigraph(n, frozenset(edges))
+
+
+def isomorphism_class_representatives(n: int) -> list[StrictDigraph]:
+    """One strict digraph on n vertices per isomorphism class, the first
+    of its class in all_strict_digraphs order."""
+    perms = list(itertools.permutations(range(n)))
+    found: dict[tuple, StrictDigraph] = {}
+    for g in all_strict_digraphs(n):
+        key = min(tuple(sorted((p[u], p[v]) for u, v in g.edges)) for p in perms)
+        found.setdefault(key, g)
+    return list(found.values())
 
 
 def all_tournaments(n: int):
@@ -361,3 +378,65 @@ def _oracle_link_weak(cond, groups) -> list[tuple[int, int]]:
         exits.append(cond.components[t_cid][0])
     k = len(groups)
     return [(exits[i], entry[(i + 1) % k]) for i in range(k)]
+
+
+def oracle_brute_force_min_extension(g: StrictDigraph):
+    """Exact minimum strong extension by plain enumeration.
+
+    Added-edge sets are enumerated in increasing size from 1 and
+    lexicographically within each size over both orientations of every
+    non-adjacent pair; a set using a pair twice is generated and discarded,
+    and every other set is tested by building the digraph.  The reference
+    that the library's pruned search must match, size and plan.  Budgets
+    are the caller's concern.
+    """
+    if is_strong(g):
+        return 0, ExtensionPlan((), g)
+    pairs = g.nonadjacent_pairs()
+    candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
+    for size in range(1, len(pairs) + 1):
+        for combo in itertools.combinations(candidates, size):
+            keys = {(min(u, v), max(u, v)) for u, v in combo}
+            if len(keys) < size:
+                continue
+            extended = g.with_edges(combo)
+            if is_strong(extended):
+                return size, ExtensionPlan(tuple(combo), extended)
+    return None
+
+
+def oracle_search_balanced_realization(h: StrictDigraph, k: int, direction: str):
+    """Balanced realization search over every complete deal.
+
+    Faces 1..n*k are dealt in increasing order to each die with spare
+    capacity, lowest index first, and every complete deal is tested with
+    the library's exact checks.  The reference that the library's pruned
+    search must match, deal for deal.  Argument checks and budgets are the
+    caller's concern.
+    """
+    n = h.n
+    dice: list[list[int]] = [[] for _ in range(n)]
+
+    def deal(value: int):
+        if value > n * k:
+            candidate = DiceSet(tuple(tuple(die) for die in dice))
+            balanced, p = is_balanced(candidate)
+            if not balanced or 2 * p.numerator <= p.denominator:
+                return None
+            beats = beats_digraph(candidate, direction)
+            if not h.edges <= beats.edges:
+                return None
+            if not _tournament_has_cycle(beats):
+                return None
+            return candidate
+        for i in range(n):
+            if len(dice[i]) == k:
+                continue
+            dice[i].append(value)
+            found = deal(value + 1)
+            if found is not None:
+                return found
+            dice[i].pop()
+        return None
+
+    return deal(1)

@@ -199,6 +199,13 @@ class TestExtend:
         assert code == 1
         assert out == "no strong extension exists\ndicut: {0}\n"
 
+    def test_minimize_dicut_input_inside_budget(self, capsys, write):
+        # plain enumeration would try about 10^10 candidate sets here
+        out_star = "n 8\n" + "".join(f"0 {v}\n" for v in range(1, 8))
+        code, out, _ = run(capsys, "extend", write(out_star), "--minimize")
+        assert code == 1
+        assert out == "no strong extension exists\ndicut: {0}\n"
+
     def test_minimize_budget(self, capsys, write):
         code, _, err = run(capsys, "extend", write("n 23\n"), "--minimize")
         assert code == 3
@@ -403,6 +410,12 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "UTF-8" in err
+
+    def test_huge_vertex_count_is_an_error(self, capsys, write):
+        code, out, err = run(capsys, "analyze", write("n 3000000000\n"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_parse_error_reports_line(self, capsys, write):
         code, _, err = run(capsys, "analyze", write("n 3\n0 0\n"))

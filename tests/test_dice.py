@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from strongext import (
     LOSER_TO_WINNER,
+    WINNER_TO_LOSER,
     BudgetError,
     DiceSet,
     InvalidDiceError,
@@ -12,7 +13,9 @@ from strongext import (
     StrictDigraph,
     TooSmallError,
     beats_digraph,
+    find_complete_dicut,
     is_balanced,
+    is_strong,
     parse_dice,
     realization_search_space,
     realizes,
@@ -24,7 +27,12 @@ from strongext import (
 )
 from strongext.dice import _tournament_has_cycle
 
-from helpers import all_tournaments
+from helpers import (
+    all_strict_digraphs,
+    all_tournaments,
+    isomorphism_class_representatives,
+    oracle_search_balanced_realization,
+)
 from strategies import dice_sets
 
 ROCK_PAPER = DiceSet(((1, 5, 9), (3, 4, 8), (2, 6, 7)))
@@ -293,3 +301,61 @@ class TestSearch:
     def test_budget(self):
         with pytest.raises(BudgetError):
             search_balanced_realization(StrictDigraph(4, frozenset()), 4)
+
+
+class TestSearchMatchesOracle:
+    """The pruned search against dealing every deal: the same first hit."""
+
+    def test_every_three_vertex_target(self):
+        for k in (1, 2, 3):
+            for h in all_strict_digraphs(3):
+                for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+                    assert search_balanced_realization(
+                        h, k, direction
+                    ) == oracle_search_balanced_realization(h, k, direction)
+
+    def test_four_vertex_classes_two_faces(self):
+        for h in isomorphism_class_representatives(4):
+            assert search_balanced_realization(
+                h, 2
+            ) == oracle_search_balanced_realization(h, 2, WINNER_TO_LOSER)
+
+    def test_four_cycle_three_faces(self):
+        h = StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        found = search_balanced_realization(h, 3)
+        assert found is not None
+        assert found == oracle_search_balanced_realization(h, 3, WINNER_TO_LOSER)
+
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(InvalidDiceError):
+            search_balanced_realization(CYCLE3, 3, "sideways")
+
+
+class TestRealizationClaim:
+    """What holds of realizability and complete dicuts.
+
+    The search accepts a cyclic beats tournament, not only a strong one, so
+    a target with a complete dicut can still be realized.
+    """
+
+    def test_dicut_target_realized_without_strong_beats(self):
+        h = StrictDigraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+        assert find_complete_dicut(h).sorted_vertices() == (0, 1, 2)
+        d = search_balanced_realization(h, 3)
+        assert d == DiceSet(((1, 8, 11), (2, 6, 12), (3, 7, 10), (4, 5, 9)))
+        assert is_balanced(d) == (True, Fraction(5, 9))
+        beats = beats_digraph(d)
+        assert realizes(d, h)
+        assert _tournament_has_cycle(beats) and not is_strong(beats)
+
+    def test_dicut_free_four_vertex_classes_realized(self):
+        free = [
+            h
+            for h in isomorphism_class_representatives(4)
+            if find_complete_dicut(h) is None
+        ]
+        assert free
+        for h in free:
+            assert any(
+                search_balanced_realization(h, k) is not None for k in (1, 2, 3)
+            )

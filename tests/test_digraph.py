@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from strongext import (
+    MAX_VERTICES,
     ParseError,
     StrictDigraph,
     is_strong,
@@ -52,6 +53,26 @@ class TestStrictDigraph:
     def test_with_edges_rejects_antiparallel(self):
         with pytest.raises(ValueError):
             PATH3.with_edges([(1, 0)])
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([(0, 0)], "loop at vertex 0"),
+            ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+            ([(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+            ([(0, 2), (1, 2)], r"edge \(1, 2\) already present"),
+            ([(2, 1)], "antiparallel pair between 2 and 1"),
+            ([(0, 2), (2, 0)], "antiparallel pair between 0 and 2"),
+        ],
+    )
+    def test_with_edges_rejects_each_invalid_extra(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            PATH3.with_edges(extra)
+
+    def test_with_edges_matches_construction(self):
+        g = PATH3.with_edges([(2, 0), (2, 0)])
+        assert g == StrictDigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        assert hash(g) == hash(CYCLE3) and g.n == 3
 
     def test_reverse(self):
         assert PATH3.reverse().edges == frozenset({(1, 0), (2, 1)})
@@ -107,6 +128,11 @@ class TestParse:
             parse_edge_list("n x")
         with pytest.raises(ParseError, match="nonnegative"):
             parse_edge_list("n -1")
+
+    def test_vertex_count_limit(self):
+        assert parse_edge_list(f"n {MAX_VERTICES}\n").n == MAX_VERTICES
+        with pytest.raises(ParseError, match="line 1: vertex count .* exceeds"):
+            parse_edge_list(f"n {MAX_VERTICES + 1}\n")
 
     def test_serialize_exact(self):
         assert serialize_edge_list(PATH3) == "n 3\n0 1\n1 2\n"

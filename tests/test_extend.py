@@ -1,4 +1,5 @@
 import itertools
+import sys
 from random import Random
 
 import pytest
@@ -35,11 +36,14 @@ from strongext import (
 
 from strongext.extend import (
     CYCLIC_ORDER_PERMUTATION_LIMIT,
+    MIN_EXTENSION_PAIR_BUDGET,
     _best_cyclic_bound,
     _max_matching,
 )
 
 from helpers import (
+    all_strict_digraphs,
+    oracle_brute_force_min_extension,
     oracle_extend,
     oracle_is_strong,
     random_strong_blob,
@@ -495,6 +499,83 @@ class TestBruteForceMinExtension:
             brute_force_min_extension(StrictDigraph(11, frozenset()))
         with pytest.raises(BudgetError):
             brute_force_min_extension(StrictDigraph(8, frozenset()))
+
+    def test_dicut_input_skips_the_search(self, monkeypatch):
+        # {6, 7} -> all other vertices is a complete dicut; without the
+        # early exit the pruned search takes over a minute on this input
+        def no_search(*args):
+            raise AssertionError("searched an input with a complete dicut")
+
+        # the package's ``extend`` function shadows the module's name
+        module = sys.modules["strongext.extend"]
+        monkeypatch.setattr(module, "_min_extension_search", no_search)
+        g = StrictDigraph.from_edges(8, [(a, b) for a in (6, 7) for b in range(6)])
+        assert brute_force_min_extension(g) is None
+
+    def test_bipartite_family_needs_p_plus_q(self):
+        # plain enumeration takes more than 5 minutes on bipartite 4 4
+        for p in range(1, 8):
+            for q in range(1, 9 - p):
+                g = gen_bipartite_plus_isolated(p, q)
+                if len(g.nonadjacent_pairs()) > MIN_EXTENSION_PAIR_BUDGET:
+                    with pytest.raises(BudgetError):
+                        brute_force_min_extension(g)
+                    continue
+                size, plan = brute_force_min_extension(g)
+                assert size == p + q
+                assert len(plan.added) == size and is_strong(plan.resulting)
+
+
+def min_extension_corpus() -> tuple[list[StrictDigraph], list[StrictDigraph]]:
+    """Seeded connectable inputs and inputs with a complete dicut, n = 5-8.
+
+    Near-acyclic orientations, so that several source and sink components
+    need serving.  The dicut inputs have at most 7 addable pairs, since the
+    plain enumeration must try every oriented subset of them.
+    """
+    rng = Random(8150)
+    connectable: list[StrictDigraph] = []
+    with_dicut: list[StrictDigraph] = []
+    while len(connectable) < 80 or len(with_dicut) < 16:
+        n = rng.randint(5, 8)
+        order = list(range(n))
+        rng.shuffle(order)
+        density = rng.choice([0.4, 0.55, 0.7])
+        edges = set()
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                u, v = order[a], order[b]
+                edges.add((u, v) if rng.random() < 0.85 else (v, u))
+        g = StrictDigraph(n, frozenset(edges))
+        pairs = len(g.nonadjacent_pairs())
+        if find_complete_dicut(g) is None:
+            if pairs <= 18 and len(connectable) < 80:
+                connectable.append(g)
+        elif pairs <= 7 and len(with_dicut) < 16:
+            with_dicut.append(g)
+    return connectable, with_dicut
+
+
+class TestBruteForceMatchesOracle:
+    """The pruned search against plain enumeration: same size, same plan."""
+
+    def test_every_digraph_up_to_four_vertices(self):
+        for n in range(5):
+            for g in all_strict_digraphs(n):
+                expected = oracle_brute_force_min_extension(g)
+                assert brute_force_min_extension(g) == expected
+
+    def test_seeded_corpus(self):
+        connectable, with_dicut = min_extension_corpus()
+        sizes = set()
+        for g in connectable:
+            result = brute_force_min_extension(g)
+            assert result == oracle_brute_force_min_extension(g)
+            sizes.add(result[0])
+        assert {2, 3, 4} <= sizes
+        for g in with_dicut:
+            assert brute_force_min_extension(g) is None
+            assert oracle_brute_force_min_extension(g) is None
 
 
 class TestTournamentCompletion:
