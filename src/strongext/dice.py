@@ -229,9 +229,13 @@ def search_balanced_realization(
 
     Faces arrive in increasing order, so a face v put on die i wins against
     every face already on die j and loses to every later one: the win count
-    of i against j grows by |die j| and never shrinks.  A partial deal is
-    abandoned as soon as no completion can be accepted, which leaves the
-    order of the accepted deals, and so the first hit, unchanged.
+    of i against j grows by |die j| and never shrinks.  Each of the
+    k - |die i| faces still to come on die i beats every face now on die j
+    and at most k faces of die j, so the final win count of i against j lies
+    in [wins[i][j] + (k - |die i|)·|die j|, wins[i][j] + (k - |die i|)·k].
+    A partial deal is abandoned as soon as no completion inside those ranges
+    can be accepted, which leaves the order of the accepted deals, and so
+    the first hit, unchanged.
     """
     if h.n < 3:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
@@ -247,32 +251,39 @@ def search_balanced_realization(
     n, total = h.n, k * k
     # every pair must end at one common P > total / 2 wins for its winner
     least = total // 2 + 1
-    # winners[i] lists the dice that h needs to beat die i
-    winners: list[list[int]] = [[] for _ in range(n)]
+    # beaten[i] lists the dice that h needs die i to beat
+    beaten: list[list[int]] = [[] for _ in range(n)]
     for u, v in h.edges:
         if direction == WINNER_TO_LOSER:
-            winners[v].append(u)
+            beaten[u].append(v)
         else:
-            winners[u].append(v)
+            beaten[v].append(u)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     dice: list[list[int]] = [[] for _ in range(n)]
     wins = [[0] * n for _ in range(n)]
 
     def feasible(i: int) -> bool:
         """Whether the deal can still be completed after a face on die i."""
-        row = wins[i]
-        for w in winners[i]:
-            if 2 * row[w] >= total:
+        # the most die i can still win against j drops only when a face
+        # goes on i, so only the edges out of i need a look
+        row, top = wins[i], (k - len(dice[i])) * k
+        for j in beaten[i]:
+            if 2 * (row[j] + top) <= total:
                 return False
+        # the pair's P is max(x, total - x) for its final count x, and
+        # total - x is the other die's final count, so P is at least the
+        # larger of the two least final counts and at most the larger of
+        # the two greatest
         low, high = least, total
         for a, b in pairs:
+            left_a, left_b = k - len(dice[a]), k - len(dice[b])
             x, y = wins[a][b], wins[b][a]
-            if x < y:
-                x, y = y, x
-            if x > low:
-                low = x
-            if total - y < high:
-                high = total - y
+            floor = max(x + left_a * len(dice[b]), y + left_b * len(dice[a]))
+            ceiling = max(x + left_a * k, y + left_b * k)
+            if floor > low:
+                low = floor
+            if ceiling < high:
+                high = ceiling
         return low <= high
 
     def deal(value: int) -> bool:

@@ -41,6 +41,14 @@ class StrictDigraph:
     def from_edges(cls, n: int, edges=()) -> StrictDigraph:
         return cls(n, frozenset(edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[Edge]) -> StrictDigraph:
+        """Digraph from edges the caller has already validated."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "n", n)
+        object.__setattr__(result, "edges", edges)
+        return result
+
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
@@ -86,10 +94,7 @@ class StrictDigraph:
                 raise ValueError(f"edge ({u}, {v}) already present")
             if (v, u) in self.edges or (v, u) in added:
                 raise ValueError(f"antiparallel pair between {u} and {v}")
-        result = object.__new__(StrictDigraph)
-        object.__setattr__(result, "n", self.n)
-        object.__setattr__(result, "edges", self.edges | added)
-        return result
+        return StrictDigraph._trusted(self.n, self.edges | added)
 
     def reverse(self) -> StrictDigraph:
         return StrictDigraph(self.n, frozenset((v, u) for u, v in self.edges))
@@ -110,7 +115,8 @@ def parse_edge_list(text: str) -> StrictDigraph:
     Blank lines are skipped and lines starting with ``#`` are comments.
     Duplicate edges are deduplicated; loops, antiparallel pairs, and
     out-of-range indices raise a ParseError naming the offending line, and
-    so does a vertex count above MAX_VERTICES.
+    so does a vertex count above MAX_VERTICES.  Each line is checked as it
+    is read, so the result is built without checking the edges again.
     """
     n = None
     edges: set[Edge] = set()
@@ -148,7 +154,7 @@ def parse_edge_list(text: str) -> StrictDigraph:
         edges.add((u, v))
     if n is None:
         raise ParseError(1, "missing header 'n <N>'")
-    return StrictDigraph(n, frozenset(edges))
+    return StrictDigraph._trusted(n, frozenset(edges))
 
 
 def serialize_edge_list(g: StrictDigraph) -> str:
@@ -382,7 +388,14 @@ def is_strong(g: StrictDigraph) -> bool:
         return False
     if g.n == 1:
         return True
-    return _reaches_all(g.n, g.out_adj(), 0) and _reaches_all(g.n, g.in_adj(), 0)
+    # reachability does not depend on neighbour order, so the lists are
+    # built in one unsorted pass
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    into: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].append(v)
+        into[v].append(u)
+    return _reaches_all(g.n, out, 0) and _reaches_all(g.n, into, 0)
 
 
 def _reaches_all(n: int, adj: list[list[int]], start: int) -> bool:

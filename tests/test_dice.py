@@ -320,6 +320,12 @@ class TestSearchMatchesOracle:
                 h, 2
             ) == oracle_search_balanced_realization(h, 2, WINNER_TO_LOSER)
 
+    def test_three_vertex_classes_four_faces(self):
+        for h in isomorphism_class_representatives(3):
+            assert search_balanced_realization(
+                h, 4
+            ) == oracle_search_balanced_realization(h, 4, WINNER_TO_LOSER)
+
     def test_four_cycle_three_faces(self):
         h = StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         found = search_balanced_realization(h, 3)
@@ -329,6 +335,178 @@ class TestSearchMatchesOracle:
     def test_rejects_unknown_direction(self):
         with pytest.raises(InvalidDiceError):
             search_balanced_realization(CYCLE3, 3, "sideways")
+
+
+# The first hit of plain enumeration at k = 3 for the first labelled member
+# of every isomorphism class of 4-vertex targets, keyed by sorted edges:
+# (winner-to-loser, loser-to-winner), None when no deal is accepted.
+FIRST_HITS_FOUR_VERTICES_THREE_FACES = {
+    (): ("1 5 12 / 2 8 10 / 3 6 11 / 4 7 9", "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9"),
+    ((2, 3),): ("1 7 11 / 2 5 12 / 3 8 10 / 4 6 9", "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9"),
+    ((1, 3), (2, 3)): (
+        "1 8 11 / 2 6 12 / 3 7 10 / 4 5 9",
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+    ),
+    ((1, 3), (3, 2)): (
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+        "1 7 11 / 2 5 12 / 3 8 10 / 4 6 9",
+    ),
+    ((3, 1), (3, 2)): (
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+        "1 8 11 / 2 6 12 / 3 7 10 / 4 5 9",
+    ),
+    ((1, 2), (1, 3), (2, 3)): (
+        "1 6 12 / 2 8 11 / 4 5 10 / 3 7 9",
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+    ),
+    ((1, 2), (2, 3), (3, 1)): (
+        "1 5 12 / 2 7 11 / 4 6 10 / 3 8 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 3), (1, 3), (2, 3)): (
+        "1 8 11 / 2 6 12 / 3 7 10 / 4 5 9",
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+    ),
+    ((0, 3), (1, 3), (3, 2)): (
+        "1 7 11 / 2 8 10 / 3 5 12 / 4 6 9",
+        "1 5 12 / 2 7 11 / 4 6 10 / 3 8 9",
+    ),
+    ((0, 3), (3, 1), (3, 2)): (
+        "1 8 10 / 2 5 12 / 3 6 11 / 4 7 9",
+        "1 6 12 / 2 8 10 / 4 5 11 / 3 7 9",
+    ),
+    ((0, 3), (1, 2)): (
+        "1 8 10 / 2 6 12 / 3 5 11 / 4 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 3), (1, 2), (2, 3)): (
+        "1 8 10 / 2 6 12 / 4 5 11 / 3 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 3), (1, 2), (1, 3)): (
+        "1 8 10 / 2 7 12 / 3 5 11 / 4 6 9",
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+    ),
+    ((0, 3), (1, 2), (1, 3), (2, 3)): (
+        "1 7 12 / 3 6 11 / 2 8 10 / 4 5 9",
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+    ),
+    ((0, 3), (1, 2), (1, 3), (3, 2)): (
+        "1 8 10 / 2 7 12 / 3 5 11 / 4 6 9",
+        "1 7 11 / 2 5 12 / 4 6 10 / 3 8 9",
+    ),
+    ((0, 3), (1, 2), (3, 1)): (
+        "1 8 10 / 2 6 12 / 3 5 11 / 4 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 3), (1, 2), (2, 3), (3, 1)): (
+        "1 8 10 / 2 6 12 / 4 5 11 / 3 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 3), (1, 2), (3, 1), (3, 2)): (
+        "1 8 10 / 2 6 12 / 3 5 11 / 4 7 9",
+        "1 6 12 / 2 8 10 / 4 5 11 / 3 7 9",
+    ),
+    ((3, 0), (3, 1), (3, 2)): (
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+        "1 8 11 / 2 6 12 / 3 7 10 / 4 5 9",
+    ),
+    ((1, 2), (1, 3), (3, 0)): (
+        "1 6 12 / 2 8 11 / 4 5 10 / 3 7 9",
+        "1 8 10 / 2 5 12 / 3 6 11 / 4 7 9",
+    ),
+    ((1, 2), (1, 3), (2, 3), (3, 0)): (
+        "1 6 12 / 2 8 11 / 4 5 10 / 3 7 9",
+        "1 8 10 / 2 5 12 / 3 6 11 / 4 7 9",
+    ),
+    ((1, 2), (1, 3), (3, 0), (3, 2)): (
+        "1 6 12 / 4 5 11 / 2 7 10 / 3 8 9",
+        "1 7 11 / 2 5 12 / 3 8 10 / 4 6 9",
+    ),
+    ((1, 2), (2, 3), (3, 0), (3, 1)): (
+        "1 5 12 / 2 7 11 / 4 6 10 / 3 8 9",
+        "1 7 11 / 2 8 10 / 3 5 12 / 4 6 9",
+    ),
+    ((1, 2), (3, 0), (3, 1), (3, 2)): (
+        "1 6 12 / 3 5 11 / 2 7 10 / 4 8 9",
+        "1 8 11 / 2 6 12 / 3 7 10 / 4 5 9",
+    ),
+    ((0, 2), (0, 3), (1, 2), (1, 3)): (None, None),
+    ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)): (None, None),
+    ((0, 2), (0, 3), (1, 2), (3, 1)): (
+        "1 8 11 / 2 6 12 / 3 5 10 / 4 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 2), (0, 3), (1, 2), (2, 3), (3, 1)): (
+        "1 8 11 / 2 6 12 / 4 5 10 / 3 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 2), (0, 3), (1, 2), (3, 1), (3, 2)): (
+        "1 8 11 / 2 6 12 / 3 5 10 / 4 7 9",
+        "1 6 12 / 4 5 10 / 2 8 11 / 3 7 9",
+    ),
+    ((0, 2), (0, 3), (2, 1), (3, 1)): (
+        "1 8 11 / 2 5 12 / 3 6 10 / 4 7 9",
+        "1 6 12 / 4 5 11 / 2 7 10 / 3 8 9",
+    ),
+    ((0, 2), (0, 3), (2, 1), (2, 3), (3, 1)): (
+        "1 8 11 / 2 5 12 / 3 7 10 / 4 6 9",
+        "1 6 12 / 4 5 11 / 2 7 10 / 3 8 9",
+    ),
+    ((0, 2), (1, 2), (2, 3), (3, 0), (3, 1)): (
+        "1 6 12 / 2 7 11 / 4 5 10 / 3 8 9",
+        "1 7 11 / 2 8 10 / 3 5 12 / 4 6 9",
+    ),
+    ((0, 2), (1, 2), (3, 0), (3, 1), (3, 2)): (None, None),
+    ((0, 2), (1, 3), (2, 1), (3, 0)): (
+        "1 6 12 / 2 8 10 / 3 5 11 / 4 7 9",
+        "1 8 10 / 2 6 12 / 3 5 11 / 4 7 9",
+    ),
+    ((0, 2), (1, 3), (2, 1), (2, 3), (3, 0)): (
+        "1 6 12 / 2 8 10 / 4 5 11 / 3 7 9",
+        "1 8 10 / 2 6 12 / 3 5 11 / 4 7 9",
+    ),
+    ((0, 2), (2, 1), (2, 3), (3, 0), (3, 1)): (
+        "1 7 11 / 2 5 12 / 4 6 10 / 3 8 9",
+        "1 8 10 / 2 7 12 / 3 5 11 / 4 6 9",
+    ),
+    ((0, 2), (2, 1), (3, 0), (3, 1), (3, 2)): (
+        "1 7 11 / 2 5 12 / 3 6 10 / 4 8 9",
+        "1 7 12 / 3 6 11 / 2 8 10 / 4 5 9",
+    ),
+    ((2, 0), (2, 1), (2, 3), (3, 0), (3, 1)): (None, None),
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)): (None, None),
+    ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)): (
+        "1 8 12 / 2 6 11 / 4 5 10 / 3 7 9",
+        "1 5 12 / 2 8 10 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 0)): (
+        "1 7 12 / 3 6 11 / 4 5 10 / 2 8 9",
+        "1 8 10 / 2 5 12 / 3 6 11 / 4 7 9",
+    ),
+    ((0, 1), (0, 2), (1, 2), (1, 3), (3, 0), (3, 2)): (
+        "1 7 12 / 4 5 11 / 2 6 10 / 3 8 9",
+        "1 7 11 / 2 5 12 / 3 8 10 / 4 6 9",
+    ),
+}
+
+
+def _dice(text):
+    if text is None:
+        return None
+    return DiceSet(tuple(tuple(map(int, die.split())) for die in text.split("/")))
+
+
+class TestPinnedFirstHits:
+    def test_four_vertex_classes_three_faces(self):
+        classes = isomorphism_class_representatives(4)
+        assert {tuple(sorted(h.edges)) for h in classes} == set(
+            FIRST_HITS_FOUR_VERTICES_THREE_FACES
+        )
+        for h in classes:
+            pinned = FIRST_HITS_FOUR_VERTICES_THREE_FACES[tuple(sorted(h.edges))]
+            for direction, text in zip((WINNER_TO_LOSER, LOSER_TO_WINNER), pinned):
+                assert search_balanced_realization(h, 3, direction) == _dice(text)
 
 
 class TestRealizationClaim:

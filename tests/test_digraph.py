@@ -1,5 +1,10 @@
+import itertools
+import math
+from random import Random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strongext import (
     MAX_VERTICES,
@@ -141,6 +146,16 @@ class TestParse:
     def test_round_trip(self, g):
         assert parse_edge_list(serialize_edge_list(g)) == g
 
+    @given(strict_digraphs(), st.randoms(use_true_random=False))
+    def test_matches_construction(self, g, rng):
+        lines = [f"{u} {v}" for u, v in g.edges]
+        lines += rng.sample(lines, len(lines) // 2)
+        rng.shuffle(lines)
+        text = f"# edges\nn {g.n}\n\n" + "\n".join(lines) + "\n# end\n"
+        parsed = parse_edge_list(text)
+        assert parsed == StrictDigraph(g.n, frozenset(g.edges))
+        assert isinstance(parsed.edges, frozenset)
+
     def test_to_dot(self):
         g = StrictDigraph.from_edges(3, [(0, 1)])
         assert to_dot(g) == "digraph {\n  0 -> 1;\n  2;\n}\n"
@@ -231,6 +246,23 @@ class TestStrongComponents:
         }
 
 
+def _random_with_cut(rng: Random, n: int, density: float, cut: bool) -> StrictDigraph:
+    """Random strict digraph with each pair an edge with the given
+    probability; with ``cut``, every edge between a random nonempty proper
+    vertex subset and the rest leaves the subset, so the result is not
+    strong (and at density 1 the subset is a complete dicut)."""
+    side = set(rng.sample(range(n), rng.randint(1, n - 1))) if cut else set()
+    edges = set()
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() >= density:
+            continue
+        if (u in side) != (v in side):
+            edges.add((u, v) if u in side else (v, u))
+        else:
+            edges.add((u, v) if rng.random() < 0.5 else (v, u))
+    return StrictDigraph(n, frozenset(edges))
+
+
 class TestIsStrong:
     def test_examples(self):
         assert is_strong(CYCLE3)
@@ -248,6 +280,31 @@ class TestIsStrong:
     @given(strict_digraphs(min_n=1))
     def test_matches_condensation(self, g):
         assert is_strong(g) == (strong_components(g).r == 1)
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_matches_condensation_sparse(self, cut):
+        # about n ln n edges: near the threshold where random digraphs turn
+        # strong, so both answers come up
+        rng = Random(7)
+        answers = set()
+        for n in (2, 5, 20, 60, 156):
+            for _ in range(5):
+                g = _random_with_cut(rng, n, min(1.0, 2 * math.log(n) / n), cut)
+                answers.add(is_strong(g))
+                assert is_strong(g) == (strong_components(g).r == 1)
+        assert answers == ({False} if cut else {False, True})
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_matches_condensation_tournaments(self, cut):
+        rng = Random(11)
+        answers = set()
+        for n in (3, 8, 30, 156):
+            for _ in range(3):
+                g = _random_with_cut(rng, n, 1.0, cut)
+                assert len(g.edges) == n * (n - 1) // 2
+                answers.add(is_strong(g))
+                assert is_strong(g) == (strong_components(g).r == 1)
+        assert answers == ({False} if cut else {False, True})
 
 
 class TestWeakComponents:
