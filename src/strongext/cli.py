@@ -3,12 +3,14 @@
 Subcommands: analyze, certify, extend, bounds, dice eval, dice realize, gen.
 Exit codes: 0 success or connectable, 1 negative verdict, 2 input error,
 3 budget exceeded.  All output is deterministic; --json switches the
-report-style commands to a machine-readable variant with the same content.
+report-style commands to a machine-readable variant with the same content,
+printed as one compact JSON line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -174,7 +176,8 @@ def _bounds_dict(report: BoundsReport) -> dict:
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    # one compact line: without indent, json uses its C encoder
+    return json.dumps(payload) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -402,7 +405,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of main; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="strongext",
         description="Decide strong connectability of strict digraphs, "

@@ -7,7 +7,9 @@ one edge per unordered vertex pair.  Vertices are dense indices 0..n-1.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError
 
@@ -109,14 +111,57 @@ class StrictDigraph:
         ]
 
 
+# Canonical edge-list text, as serialize_edge_list writes it: a header line
+# "n N" (at most 7 digits, so converting it is cheap), then only "u v" lines,
+# each ending in "\n".  _NOT_EDGE_LINE, searched from the header's newline,
+# finds the first line that is not a bare edge line.  A lookahead scan keeps
+# no backtracking marks, unlike matching the whole body as a repeated group.
+_CANONICAL_HEADER = re.compile(r"n ([0-9]{1,7})\n", re.ASCII)
+_NOT_EDGE_LINE = re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)", re.ASCII)
+
+
 def parse_edge_list(text: str) -> StrictDigraph:
     """Parse the edge-list format: header ``n <N>``, then ``<u> <v>`` lines.
 
     Blank lines are skipped and lines starting with ``#`` are comments.
     Duplicate edges are deduplicated; loops, antiparallel pairs, and
     out-of-range indices raise a ParseError naming the offending line, and
-    so does a vertex count above MAX_VERTICES.  Each line is checked as it
-    is read, so the result is built without checking the edges again.
+    so does a vertex count above MAX_VERTICES.
+
+    Canonical text is read in bulk: split once, endpoints looked up in a
+    table of vertex ids, and the edge set checked as a whole.  Anything
+    else, including every invalid input, is read line by line, so errors
+    and their line numbers do not depend on which path ran.
+    """
+    header = _CANONICAL_HEADER.match(text)
+    if header is None or _NOT_EDGE_LINE.search(text, header.end() - 1):
+        return _parse_lines(text)
+    n = int(header[1])
+    if n > MAX_VERTICES:
+        return _parse_lines(text)
+    tokens = text.split()
+    # the table covers at most one id per endpoint token, so a large
+    # header with few edges stays cheap; larger ids take the line path
+    size = min(n, len(tokens) - 2)
+    ids = {str(i): i for i in range(size)}
+    try:
+        ends = list(map(ids.__getitem__, islice(tokens, 2, None)))
+    except KeyError:
+        return _parse_lines(text)
+    del tokens
+    tails, heads = ends[0::2], ends[1::2]
+    edges = frozenset(zip(tails, heads))
+    # a loop (v, v) is its own reverse, so this also rejects loops
+    if not edges.isdisjoint(zip(heads, tails)):
+        return _parse_lines(text)
+    return StrictDigraph._trusted(n, edges)
+
+
+def _parse_lines(text: str) -> StrictDigraph:
+    """Line-by-line reader behind parse_edge_list; the only one that raises.
+
+    Each line is checked as it is read, so the result is built without
+    checking the edges again.
     """
     n = None
     edges: set[Edge] = set()

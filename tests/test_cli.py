@@ -1,8 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from strongext.cli import main
+import strongext
+from strongext.cli import build_parser, main
 
 PATH3 = "n 3\n0 1\n1 2\n"
 CYCLE3 = "n 3\n0 1\n1 2\n2 0\n"
@@ -430,3 +435,54 @@ class TestPlumbing:
 
     def test_help(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_no_state(self, capsys, write):
+        graph = write(PATH3)
+        code, _, err = run(capsys, "dice", "realize", graph)
+        assert code == 2
+        assert "-k" in err
+        code, out, _ = run(capsys, "analyze", graph, "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "strongly-connectable"
+        code, out, _ = run(capsys, "analyze", graph)
+        assert code == 0
+        assert out.startswith("verdict: strongly-connectable\n")
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: strongext")
+
+    def test_build_parser_returns_a_parser(self):
+        assert isinstance(build_parser(), argparse.ArgumentParser)
+
+
+class TestFreshProcess:
+    """``python -m strongext.cli`` in a new interpreter, with and without -O."""
+
+    @staticmethod
+    def cli(flags, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(strongext.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "strongext.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_analyze_json_is_one_line(self, capsys, write, flags):
+        graph = write(PATH3)
+        done = self.cli(flags, "analyze", graph, "--json")
+        assert done.returncode == 0
+        assert done.stdout.endswith("\n") and done.stdout.count("\n") == 1
+        _, expected, _ = run(capsys, "analyze", graph, "--json")
+        assert json.loads(done.stdout) == json.loads(expected)
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_parse_error_exits_2_without_traceback(self, write, flags):
+        done = self.cli(flags, "analyze", write("n 3\n0 0\n"))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "line 2" in done.stderr
+        assert "Traceback" not in done.stderr

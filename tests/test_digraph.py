@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from strongext import (
     to_dot,
     weak_components,
 )
+from strongext.digraph import _parse_lines
 
 from helpers import oracle_is_strong
 from strategies import strict_digraphs
@@ -159,6 +162,119 @@ class TestParse:
     def test_to_dot(self):
         g = StrictDigraph.from_edges(3, [(0, 1)])
         assert to_dot(g) == "digraph {\n  0 -> 1;\n  2;\n}\n"
+
+
+def assert_parses_like_lines(text):
+    """parse_edge_list returns what the line reader returns, or raises a
+    ParseError with the same message."""
+    try:
+        expected = _parse_lines(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_edge_list(text) == expected
+
+
+def canonical_lines(g, rng):
+    """Edge lines of g, shuffled, some repeated: still canonical text."""
+    lines = [f"{u} {v}" for u, v in g.edges]
+    lines += rng.sample(lines, len(lines) // 3)
+    rng.shuffle(lines)
+    return lines
+
+
+# each turns one edge line "u v" of a digraph on n vertices into a variant
+# that is not canonical text
+LINE_PERTURBATIONS = {
+    "tab": lambda u, v, n: f"{u}\t{v}",
+    "trailing space": lambda u, v, n: f"{u} {v} ",
+    "leading zero": lambda u, v, n: f"0{u} {v}",
+    "plus sign": lambda u, v, n: f"+{u} {v}",
+    "arabic-indic digit": lambda u, v, n: f"{chr(0x660 + u)} {v}",
+    "crlf": lambda u, v, n: f"{u} {v}\r",
+    "blank line": lambda u, v, n: f"{u} {v}\n",
+    "comment line": lambda u, v, n: f"# {u} {v}\n{u} {v}",
+    "duplicate": lambda u, v, n: f"{u} {v}\n{u} {v}",
+    "loop": lambda u, v, n: f"{u} {u}",
+    "antiparallel pair": lambda u, v, n: f"{u} {v}\n{v} {u}",
+    "id equal to n": lambda u, v, n: f"{u} {n}",
+}
+
+
+class TestBulkParse:
+    """Canonical text is read in bulk; everything else by the line reader,
+    which the bulk reader must agree with."""
+
+    @given(strict_digraphs(), st.randoms(use_true_random=False))
+    def test_canonical_text_is_read_in_bulk(self, g, rng):
+        lines = canonical_lines(g, rng)
+        text = f"n {g.n}\n" + "".join(f"{line}\n" for line in lines)
+        expected = _parse_lines(text)
+        with mock.patch(
+            "strongext.digraph._parse_lines", wraps=_parse_lines
+        ) as line_reader:
+            assert parse_edge_list(text) == expected == g
+        # the id table spans as many ids as there are endpoints, so only an
+        # id beyond that sends canonical text to the line reader
+        beyond = any(max(e) >= 2 * len(lines) for e in g.edges)
+        assert line_reader.called == beyond
+
+    @given(
+        strict_digraphs(min_n=1).filter(lambda g: g.edges),
+        st.sampled_from(sorted(LINE_PERTURBATIONS)),
+        st.randoms(use_true_random=False),
+    )
+    def test_perturbed_text_matches_line_reader(self, g, kind, rng):
+        lines = canonical_lines(g, rng)
+        i = rng.randrange(len(lines))
+        u, v = map(int, lines[i].split())
+        lines[i] = LINE_PERTURBATIONS[kind](u, v, g.n)
+        assert_parses_like_lines(f"n {g.n}\n" + "".join(f"{line}\n" for line in lines))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 3\n0 1\n1 2",
+            "n 3\r\n0 1\r\n1 2\r\n",
+            "n 3\n\n0 1\n",
+            "# g\nn 3\n0 1\n",
+            "n 3\n0 1\n# end\n",
+            "n  3\n0 1\n",
+            "n 3 \n0 1\n",
+            "n 03\n0 1\n",
+            "n 3\n0 1\n0 1\n",
+            "n 3\n1 1\n",
+            "n 3\n0 1\n2 0\n1 0\n",
+            "n 3\n0 3\n",
+            "n 3\n",
+            "n 0\n",
+            "n 0\n0 1\n",
+            f"n {MAX_VERTICES}\n0 1\n",
+            f"n {MAX_VERTICES + 1}\n",
+            f"n {MAX_VERTICES + 1}\n0 1\n",
+            "n 99999999\n0 1\n",
+            "n 3\n" + "0" * 5000 + "1 2\n",
+            "n 3\n\u0660 1\n",
+            "n 3\n0 1\x0b1 2\n",
+            "",
+            "n\n",
+            "0 1\n",
+        ],
+    )
+    def test_edge_cases_match_line_reader(self, text):
+        assert_parses_like_lines(text)
+
+    def test_large_header_builds_a_small_table(self):
+        tracemalloc.start()
+        try:
+            g = parse_edge_list("n 1000000\n0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == StrictDigraph.from_edges(1_000_000, [(0, 1)])
+        assert peak < 2 * 2**20
 
 
 class TestStrongComponents:
