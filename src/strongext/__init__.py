@@ -1,5 +1,8 @@
 """Strong connectability of strict digraphs, extension constructions,
-bounds, and balanced non-transitive dice."""
+bounds, and balanced non-transitive dice.
+
+The names imported below are the package's public interface.
+"""
 
 from .dice import (
     LOSER_TO_WINNER,
@@ -10,7 +13,6 @@ from .dice import (
     beats_digraph,
     is_balanced,
     parse_dice,
-    realization_search_space,
     realizes,
     search_balanced_realization,
     serialize_dice,
@@ -18,10 +20,7 @@ from .dice import (
     win_probability,
 )
 from .dicut import (
-    SUBSET_BUDGET_VERTICES,
     DicutCertificate,
-    brute_force_complete_dicut,
-    dicut_deficiency,
     find_complete_dicut,
     format_certificate,
     parse_certificate,
@@ -36,12 +35,9 @@ from .digraph import (
     parse_edge_list,
     serialize_edge_list,
     strong_components,
-    to_dot,
-    weak_components,
 )
 from .errors import (
     BudgetError,
-    DisconnectedError,
     EmptyGraphError,
     HasCompleteDicutError,
     InvalidCertificateError,
@@ -64,75 +60,9 @@ from .extend import (
     brute_force_min_extension,
     complete_to_tournament,
     extend,
-    extend_connected,
     gen_bipartite_plus_isolated,
     gen_disjoint_cycles,
     gen_tt_minus_path,
     hamiltonian_cycle_strong_tournament,
-    serialize_bounds,
-    serialize_plan,
 )
 
-__all__ = [
-    "BoundsReport",
-    "BudgetError",
-    "Condensation",
-    "CYCLIC_ORDER_PERMUTATION_LIMIT",
-    "DiceSet",
-    "DicutCertificate",
-    "DisconnectedError",
-    "Edge",
-    "EmptyGraphError",
-    "ExtensionPlan",
-    "HasCompleteDicutError",
-    "InvalidCertificateError",
-    "InvalidDiceError",
-    "InvalidInputError",
-    "LOSER_TO_WINNER",
-    "MAX_VERTICES",
-    "MIN_EXTENSION_PAIR_BUDGET",
-    "MIN_EXTENSION_VERTEX_BUDGET",
-    "NotStrongError",
-    "NotTournamentError",
-    "ParseError",
-    "SEARCH_BUDGET",
-    "SUBSET_BUDGET_VERTICES",
-    "StrictDigraph",
-    "StrongExtError",
-    "TooSmallError",
-    "WINNER_TO_LOSER",
-    "WinMatrix",
-    "beats_digraph",
-    "bipartite_matching_lower_bound",
-    "bounds",
-    "brute_force_complete_dicut",
-    "brute_force_min_extension",
-    "complete_to_tournament",
-    "dicut_deficiency",
-    "extend",
-    "extend_connected",
-    "find_complete_dicut",
-    "format_certificate",
-    "gen_bipartite_plus_isolated",
-    "gen_disjoint_cycles",
-    "gen_tt_minus_path",
-    "hamiltonian_cycle_strong_tournament",
-    "is_balanced",
-    "is_strong",
-    "parse_certificate",
-    "parse_dice",
-    "parse_edge_list",
-    "realization_search_space",
-    "realizes",
-    "search_balanced_realization",
-    "serialize_bounds",
-    "serialize_dice",
-    "serialize_edge_list",
-    "serialize_plan",
-    "strong_components",
-    "to_dot",
-    "verify_complete_dicut",
-    "weak_components",
-    "win_matrix",
-    "win_probability",
-]

@@ -62,8 +62,6 @@ from .extend import (
     gen_bipartite_plus_isolated,
     gen_disjoint_cycles,
     gen_tt_minus_path,
-    serialize_bounds,
-    serialize_plan,
 )
 
 VERDICT_CONNECTABLE = "strongly-connectable"
@@ -87,16 +85,15 @@ class AnalysisReport:
         return 1 if self.verdict == VERDICT_NOT else 0
 
     def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict}"]
+        out = f"verdict: {self.verdict}\n"
         if self.certificate is not None:
-            lines.append(format_certificate(self.certificate))
+            out += format_certificate(self.certificate) + "\n"
         if self.summary is not None:
-            lines.extend(_summary_lines(self.summary))
-        out = "\n".join(lines) + "\n"
+            out += _key_lines(_summary_dict(self.summary))
         if self.plan is not None:
-            out += "plan:\n" + serialize_plan(self.plan)
+            out += "plan:\n" + _plan_text(self.plan)
         if self.bounds_report is not None:
-            out += "bounds:\n" + serialize_bounds(self.bounds_report)
+            out += "bounds:\n" + _key_lines(_bounds_dict(self.bounds_report))
         return out
 
     def to_json(self) -> str:
@@ -131,17 +128,6 @@ def analyze(g: StrictDigraph) -> AnalysisReport:
     )
 
 
-def _summary_lines(cond: Condensation) -> list[str]:
-    return [
-        f"r: {cond.r}",
-        f"s: {cond.s}",
-        f"t: {cond.t}",
-        f"c: {cond.c}",
-        f"c-prime: {cond.c_prime}",
-        f"u: {cond.u}",
-    ]
-
-
 def _summary_dict(cond: Condensation) -> dict:
     return {
         "r": cond.r,
@@ -160,6 +146,12 @@ def _plan_dict(plan: ExtensionPlan) -> dict:
     }
 
 
+def _plan_text(plan: ExtensionPlan) -> str:
+    """Added edges as ``+ u v`` lines, followed by the resulting edge list."""
+    added = "".join(f"+ {u} {v}\n" for u, v in plan.added)
+    return added + serialize_edge_list(plan.resulting)
+
+
 def _graph_dict(g: StrictDigraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
@@ -173,6 +165,16 @@ def _bounds_dict(report: BoundsReport) -> dict:
         "upper_prop": report.upper_prop,
         "brute_min": report.brute_min,
     }
+
+
+def _key_lines(payload: dict) -> str:
+    """The text form of a flat report dict: one ``key: value`` line per
+    entry in order, ``_`` in keys written as ``-``, None entries left out."""
+    return "".join(
+        f"{key.replace('_', '-')}: {value}\n"
+        for key, value in payload.items()
+        if value is not None
+    )
 
 
 def _dump(payload: dict) -> str:
@@ -280,22 +282,16 @@ def cmd_extend(args) -> int:
             sys.stdout.write(_dump(payload))
         else:
             print(f"minimum: {minimum}")
-            sys.stdout.write(serialize_plan(plan))
+            sys.stdout.write(_plan_text(plan))
         return 0
     plan = extend(g)
-    if args.json:
-        sys.stdout.write(_dump(_plan_dict(plan)))
-    else:
-        sys.stdout.write(serialize_plan(plan))
+    sys.stdout.write(_dump(_plan_dict(plan)) if args.json else _plan_text(plan))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    report = bounds(_read_graph(args.file))
-    if args.json:
-        sys.stdout.write(_dump(_bounds_dict(report)))
-    else:
-        sys.stdout.write(serialize_bounds(report))
+    payload = _bounds_dict(bounds(_read_graph(args.file)))
+    sys.stdout.write(_dump(payload) if args.json else _key_lines(payload))
     return 0
 
 

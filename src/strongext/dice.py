@@ -7,7 +7,6 @@ by the first die; it beats the second when c > k * k / 2, strictly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,23 +195,24 @@ def realizes(d: DiceSet, h: StrictDigraph, direction: str = WINNER_TO_LOSER) -> 
     return h.edges <= beats_digraph(d, direction).edges
 
 
-def realization_search_space(n: int, k: int) -> int:
-    """Number of ways to deal faces 1..n*k into n dice of k faces each."""
-    return math.factorial(n * k) // math.factorial(k) ** n
+def _over_budget(n: int, k: int) -> bool:
+    """Whether dealing faces 1..n*k into n dice of k faces each can be done
+    in more than SEARCH_BUDGET ways.
 
-
-def _tournament_has_cycle(t: StrictDigraph) -> bool:
-    """Whether a tournament has a directed cycle.
-
-    An acyclic tournament is transitive, with out-degrees 0, 1, ..., n - 1;
-    conversely n distinct out-degrees must be those, and the vertex of
-    out-degree n - 1 beats every other, so induction gives a transitive
-    order.  Hence a cycle exists iff two out-degrees are equal.
+    That count, (n*k)! / (k!)^n, is the product of C(i*k, k) for i = 2..n.
+    It is built one factor (a + j) / j at a time, a = (i - 1) * k; each
+    partial product is an integer, and each step at least doubles it, since
+    a >= k >= j.  So the loop takes at most log2(SEARCH_BUDGET) + 1 steps
+    and never forms the whole number.
     """
-    out = [0] * t.n
-    for u, _ in t.edges:
-        out[u] += 1
-    return len(set(out)) < t.n
+    deals = 1
+    for i in range(2, n + 1):
+        a = (i - 1) * k
+        for j in range(1, k + 1):
+            deals = deals * (a + j) // j
+            if deals > SEARCH_BUDGET:
+                return True
+    return False
 
 
 def search_balanced_realization(
@@ -243,10 +243,10 @@ def search_balanced_realization(
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
     if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
         raise InvalidDiceError(f"unknown edge direction {direction!r}")
-    space = realization_search_space(h.n, k)
-    if space > SEARCH_BUDGET:
+    if _over_budget(h.n, k):
         raise BudgetError(
-            f"search space {space} exceeds the budget of {SEARCH_BUDGET}"
+            f"dealing {h.n} dice of {k} faces has more than "
+            f"{SEARCH_BUDGET} complete deals, the search budget"
         )
     n, total = h.n, k * k
     # every pair must end at one common P > total / 2 wins for its winner
@@ -289,7 +289,10 @@ def search_balanced_realization(
     def deal(value: int) -> bool:
         if value > n * k:
             # every pair is decided at one P > total / 2 and h's edges are
-            # won; what is left is the rule of _tournament_has_cycle
+            # won; what is left is whether the beats tournament has a cycle,
+            # which holds iff two dice win the same number of pairs (the
+            # rule is proved, and checked against the condensation, as
+            # tournament_has_cycle in tests/helpers.py)
             scores = {sum(2 * c > total for c in row) for row in wins}
             return len(scores) < n
         for i in range(n):

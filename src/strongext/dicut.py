@@ -7,9 +7,10 @@ so its originating side X certifies that no strong extension exists.
 
 ``find_complete_dicut`` decides by the score sequence d(v) = out(v) - in(v):
 one pass over the edges and a sort of the n vertices.
-``brute_force_complete_dicut`` and ``dicut_deficiency`` scan every subset
-and are references for small inputs; ``verify_complete_dicut`` checks a
-given side edge by edge, independently of the detector.
+``verify_complete_dicut`` checks a given side edge by edge, independently of
+the detector.  The references the detector is tested against, a scan of
+every subset and a block-merging detector, are in the test suite's
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import StrictDigraph
-from .errors import BudgetError, InvalidCertificateError
-
-SUBSET_BUDGET_VERTICES = 22
+from .errors import InvalidCertificateError
 
 
 @dataclass(frozen=True)
@@ -75,72 +74,6 @@ def verify_complete_dicut(g: StrictDigraph, cert: DicutCertificate) -> bool:
     return True
 
 
-def _out_masks(g: StrictDigraph) -> list[int]:
-    out = [0] * g.n
-    for u, v in g.edges:
-        out[u] |= 1 << v
-    return out
-
-
-def _mask_vertices(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
-
-
-def _iter_subsets_lex(n: int):
-    """Nonempty subset bitmasks, ordered by their sorted vertex lists."""
-    stack = [(1 << k, k) for k in range(n - 1, -1, -1)]
-    while stack:
-        mask, last = stack.pop()
-        yield mask
-        for k in range(n - 1, last, -1):
-            stack.append((mask | (1 << k), k))
-
-
-def _check_budget(n: int):
-    if n > SUBSET_BUDGET_VERTICES:
-        raise BudgetError(
-            f"subset enumeration supports at most {SUBSET_BUDGET_VERTICES} "
-            f"vertices, got {n}"
-        )
-
-
-def brute_force_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
-    """Reference oracle: first complete dicut in lexicographic subset order."""
-    _check_budget(g.n)
-    if g.n <= 1:
-        return None
-    out = _out_masks(g)
-    full = (1 << g.n) - 1
-    for mask in _iter_subsets_lex(g.n):
-        if mask == full:
-            continue
-        comp = full ^ mask
-        if _is_complete_dicut_mask(out, mask, comp):
-            return DicutCertificate(frozenset(_mask_vertices(mask)))
-    return None
-
-
-def _is_complete_dicut_mask(out: list[int], mask: int, comp: int) -> bool:
-    m = mask
-    while m:
-        b = m & -m
-        if out[b.bit_length() - 1] & comp != comp:
-            return False
-        m ^= b
-    m = comp
-    while m:
-        b = m & -m
-        if out[b.bit_length() - 1] & mask:
-            return False
-        m ^= b
-    return True
-
-
 def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     """Complete-dicut detector by the score test, O(n + m + n log n).
 
@@ -154,8 +87,8 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     d >= |X^c| - |X| + 1, more than any vertex outside, so any sort order
     is correct.  Complete dicuts form a chain, since two crossing ones would
     need an antiparallel pair; of these prefixes the one with the
-    lexicographically smallest sorted vertex list is returned, matching the
-    brute-force oracle.
+    lexicographically smallest sorted vertex list is returned, matching a
+    scan of every subset in lexicographic order.
     """
     n = g.n
     score = [0] * n
@@ -172,48 +105,3 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
             if best is None or candidate < best:
                 best = candidate
     return None if best is None else DicutCertificate(frozenset(best))
-
-
-def dicut_deficiency(g: StrictDigraph) -> tuple[int, frozenset[int]] | None:
-    """Minimum missing-forward-edge count over all dicuts, with a witness.
-
-    The witness is the first side (in lexicographic subset order) achieving
-    the minimum.  Returns None when g has no dicut at all, i.e. g is strong.
-    A deficiency of zero means a complete dicut exists.
-    """
-    _check_budget(g.n)
-    if g.n <= 1:
-        return None
-    out = _out_masks(g)
-    full = (1 << g.n) - 1
-    best: int | None = None
-    witness = 0
-    for mask in _iter_subsets_lex(g.n):
-        if mask == full:
-            continue
-        comp = full ^ mask
-        back = False
-        m = comp
-        while m:
-            b = m & -m
-            if out[b.bit_length() - 1] & mask:
-                back = True
-                break
-            m ^= b
-        if back:
-            continue
-        forward = 0
-        m = mask
-        while m:
-            b = m & -m
-            forward += (out[b.bit_length() - 1] & comp).bit_count()
-            m ^= b
-        missing = mask.bit_count() * comp.bit_count() - forward
-        if best is None or missing < best:
-            best = missing
-            witness = mask
-            if best == 0:
-                break
-    if best is None:
-        return None
-    return best, frozenset(_mask_vertices(witness))

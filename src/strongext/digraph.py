@@ -40,10 +40,6 @@ class StrictDigraph:
                 raise ValueError(f"antiparallel pair between {u} and {v}")
 
     @classmethod
-    def from_edges(cls, n: int, edges=()) -> StrictDigraph:
-        return cls(n, frozenset(edges))
-
-    @classmethod
     def _trusted(cls, n: int, edges: frozenset[Edge]) -> StrictDigraph:
         """Digraph from edges the caller has already validated."""
         result = object.__new__(cls)
@@ -59,25 +55,6 @@ class StrictDigraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def out_adj(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges():
-            adj[u].append(v)
-        return adj
-
-    def in_adj(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges():
-            adj[v].append(u)
-        return adj
-
-    def undirected_adj(self) -> list[list[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return [sorted(s) for s in adj]
 
     def with_edges(self, extra) -> StrictDigraph:
         """New digraph with the extra edges added; duplicates are rejected.
@@ -209,21 +186,6 @@ def serialize_edge_list(g: StrictDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: StrictDigraph) -> str:
-    """Emit a DOT digraph for visualization (output only, never parsed back)."""
-    lines = ["digraph {"]
-    incident = set()
-    for u, v in g.sorted_edges():
-        lines.append(f"  {u} -> {v};")
-        incident.add(u)
-        incident.add(v)
-    for v in range(g.n):
-        if v not in incident:
-            lines.append(f"  {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class Condensation:
     """Strong components plus the acyclic quotient and weak-component data.
@@ -243,7 +205,6 @@ class Condensation:
     quotient_edges: frozenset[Edge]
     source_components: frozenset[int]
     sink_components: frozenset[int]
-    weak_component_of: tuple[int, ...]
     weak_components: tuple[tuple[int, ...], ...]
     weak_groups: tuple[tuple[int, ...], ...]
 
@@ -276,10 +237,6 @@ class Condensation:
     def u(self) -> int:
         """Strong components that are a source or a sink, counted once."""
         return len(self.source_components | self.sink_components)
-
-    def components_in_weak(self, wid: int) -> list[int]:
-        """Sorted ids of the strong components inside weak component wid."""
-        return list(self.weak_groups[wid])
 
 
 def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
@@ -347,15 +304,6 @@ def _union_find_roots(k: int, pairs) -> list[int]:
     return [find(a) for a in range(k)]
 
 
-def weak_components(g: StrictDigraph) -> tuple[tuple[int, ...], ...]:
-    """Partition by underlying-graph connectivity, ordered by smallest member."""
-    roots = _union_find_roots(g.n, g.edges)
-    blocks: dict[int, list[int]] = {}
-    for v in range(g.n):
-        blocks.setdefault(roots[v], []).append(v)
-    return tuple(tuple(block) for block in blocks.values())
-
-
 def strong_components(g: StrictDigraph) -> Condensation:
     """Condensation of g with deterministically numbered components."""
     # the numbering below does not depend on the order Tarjan visits edges
@@ -404,14 +352,12 @@ def strong_components(g: StrictDigraph) -> Condensation:
     roots = _union_find_roots(k, quotient)
     wid_of_root: dict[int, int] = {}
     blocks: list[list[int]] = []
-    weak_of = [0] * g.n
     for v in range(g.n):
         root = roots[component_of[v]]
         if root not in wid_of_root:
             wid_of_root[root] = len(blocks)
             blocks.append([])
-        weak_of[v] = wid_of_root[root]
-        blocks[weak_of[v]].append(v)
+        blocks[wid_of_root[root]].append(v)
     groups: list[list[int]] = [[] for _ in blocks]
     for cid in range(k):
         groups[wid_of_root[roots[cid]]].append(cid)
@@ -421,7 +367,6 @@ def strong_components(g: StrictDigraph) -> Condensation:
         quotient_edges=quotient,
         source_components=frozenset(i for i in range(k) if i not in has_in),
         sink_components=frozenset(i for i in range(k) if i not in has_out),
-        weak_component_of=tuple(weak_of),
         weak_components=tuple(tuple(block) for block in blocks),
         weak_groups=tuple(tuple(group) for group in groups),
     )

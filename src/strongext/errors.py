@@ -21,10 +21,6 @@ class EmptyGraphError(TooSmallError):
     """Graph has no vertices at all."""
 
 
-class DisconnectedError(StrongExtError):
-    """Operation requires a weakly connected digraph."""
-
-
 class NotStrongError(StrongExtError):
     """Operation requires a strongly connected digraph."""
 

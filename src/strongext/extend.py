@@ -1,9 +1,13 @@
-"""Strong extensions: constructive algorithm, bounds, oracles, and generators.
+"""Strong extensions: constructive algorithm, bounds, exact minimum, and generators.
 
 Any strict digraph on at least three vertices with no complete dicut can be
 made strongly connected by adding at most r edges, where r is the number of
 strong components; at most r - 1 unless the digraph is disconnected with
 every weak component already strong.
+
+The plain references these are tested against (a construction that
+re-condenses after every step, unpruned enumeration of added-edge sets) are
+in the test suite's ``tests/helpers.py``, not here.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ from .digraph import (
     Edge,
     StrictDigraph,
     is_strong,
-    serialize_edge_list,
     strong_components,
 )
 from .errors import (
     BudgetError,
-    DisconnectedError,
     HasCompleteDicutError,
     InvalidInputError,
     NotStrongError,
@@ -223,16 +225,6 @@ def _extend_from(g: StrictDigraph, cond: Condensation) -> ExtensionPlan:
             growth.add_edge(u, v)
     added += growth.grow()
     return ExtensionPlan(tuple(added), g.with_edges(added))
-
-
-def extend_connected(g: StrictDigraph) -> ExtensionPlan:
-    """Strong extension of a weakly connected digraph with at most r - 1 edges."""
-    _require_order(g)
-    cond = strong_components(g)
-    if cond.c != 1:
-        raise DisconnectedError("digraph is not weakly connected")
-    _require_no_complete_dicut(g)
-    return _extend_from(g, cond)
 
 
 def extend(g: StrictDigraph) -> ExtensionPlan:
@@ -444,8 +436,10 @@ def brute_force_min_extension(
     and a partial set is abandoned when the picks left cannot serve the
     components still unserved, or when one of those has no serving candidate
     left in the order.  Neither cut removes a set that could succeed, so the
-    first strong set found is the one plain enumeration finds.
+    first strong set found is the one plain enumeration finds.  Like
+    ``extend`` and ``bounds``, it needs at least 3 vertices.
     """
+    _require_order(g)
     pairs = g.nonadjacent_pairs()
     if len(pairs) > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
         raise BudgetError(
@@ -651,25 +645,3 @@ def gen_disjoint_cycles(k: int, m: int) -> StrictDigraph:
         for i in range(k):
             edges.add((base + i, base + (i + 1) % k))
     return StrictDigraph(k * m, frozenset(edges))
-
-
-def serialize_plan(plan: ExtensionPlan) -> str:
-    """Added edges as ``+ u v`` lines, followed by the resulting edge list."""
-    lines = [f"+ {u} {v}" for u, v in plan.added]
-    prefix = "\n".join(lines) + "\n" if lines else ""
-    return prefix + serialize_edge_list(plan.resulting)
-
-
-def serialize_bounds(report: BoundsReport) -> str:
-    """Fixed-order ``key: value`` lines; absent entries are omitted."""
-    lines = [f"lower: {report.lower}"]
-    if report.lower_matched is not None:
-        lines.append(f"lower-matched: {report.lower_matched}")
-    lines.append(f"upper-theorem: {report.upper_theorem}")
-    if report.upper_cyclic is not None:
-        lines.append(f"upper-cyclic: {report.upper_cyclic}")
-    if report.upper_prop is not None:
-        lines.append(f"upper-prop: {report.upper_prop}")
-    if report.brute_min is not None:
-        lines.append(f"brute-min: {report.brute_min}")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 """Shared oracles and graph builders for the test suite.
 
 The oracles here are deliberately naive and independent of the library's
-algorithms: reachability by bitmask closure, complete dicuts by scanning
-every subset.  They exist to cross-check the clever implementations.
+algorithms: reachability by bitmask closure, weak components by search over
+the underlying graph, complete dicuts by scanning every subset.  They exist
+to cross-check the clever implementations, and are the reference
+implementations the library's docstrings point to.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 from random import Random
 
 from strongext import (
+    BudgetError,
     DiceSet,
     DicutCertificate,
     ExtensionPlan,
@@ -19,9 +22,10 @@ from strongext import (
     is_balanced,
     is_strong,
     strong_components,
-    weak_components,
 )
-from strongext.dice import _tournament_has_cycle
+
+# Largest vertex count brute_force_complete_dicut scans: 2^n subsets.
+SUBSET_BUDGET_VERTICES = 22
 
 
 def _closure_masks(n: int, edges) -> list[int]:
@@ -51,28 +55,110 @@ def oracle_is_strong(g: StrictDigraph) -> bool:
     return all(m == full for m in _closure_masks(g.n, g.edges))
 
 
-def oracle_has_complete_dicut(g: StrictDigraph) -> bool:
-    n = g.n
-    out = [0] * n
+def weak_components(g: StrictDigraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex sets of the connected components of the underlying graph,
+    each sorted, ordered by smallest member; a plain graph search."""
+    neighbours: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen = [False] * g.n
+    blocks = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [start], [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    block.append(w)
+                    stack.append(w)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def tournament_has_cycle(t: StrictDigraph) -> bool:
+    """Whether a tournament has a directed cycle.
+
+    An acyclic tournament is transitive, with out-degrees 0, 1, ..., n - 1;
+    conversely n distinct out-degrees must be those, and the vertex of
+    out-degree n - 1 beats every other, so induction gives a transitive
+    order.  Hence a cycle exists iff two out-degrees are equal.  This is the
+    leaf rule of the library's dice search.
+    """
+    out = [0] * t.n
+    for u, _ in t.edges:
+        out[u] += 1
+    return len(set(out)) < t.n
+
+
+def _out_masks(g: StrictDigraph) -> list[int]:
+    out = [0] * g.n
     for u, v in g.edges:
         out[u] |= 1 << v
-    full = (1 << n) - 1
-    for mask in range(1, full):
+    return out
+
+
+def _mask_vertices(mask: int):
+    v = 0
+    while mask:
+        if mask & 1:
+            yield v
+        mask >>= 1
+        v += 1
+
+
+def _iter_subsets_lex(n: int):
+    """Nonempty subset bitmasks, ordered by their sorted vertex lists."""
+    stack = [(1 << k, k) for k in range(n - 1, -1, -1)]
+    while stack:
+        mask, last = stack.pop()
+        yield mask
+        for k in range(n - 1, last, -1):
+            stack.append((mask | (1 << k), k))
+
+
+def _check_budget(n: int):
+    if n > SUBSET_BUDGET_VERTICES:
+        raise BudgetError(
+            f"subset enumeration supports at most {SUBSET_BUDGET_VERTICES} "
+            f"vertices, got {n}"
+        )
+
+
+def brute_force_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
+    """First complete dicut in lexicographic subset order, by scanning every
+    proper nonempty subset; the tie-break the library's detector matches."""
+    _check_budget(g.n)
+    if g.n <= 1:
+        return None
+    out = _out_masks(g)
+    full = (1 << g.n) - 1
+    for mask in _iter_subsets_lex(g.n):
+        if mask == full:
+            continue
         comp = full ^ mask
-        ok = True
-        rest = mask
-        while rest and ok:
-            low = rest & -rest
-            ok = out[low.bit_length() - 1] & comp == comp
-            rest ^= low
-        rest = comp
-        while rest and ok:
-            low = rest & -rest
-            ok = not out[low.bit_length() - 1] & mask
-            rest ^= low
-        if ok:
-            return True
-    return False
+        if _is_complete_dicut_mask(out, mask, comp):
+            return DicutCertificate(frozenset(_mask_vertices(mask)))
+    return None
+
+
+def _is_complete_dicut_mask(out: list[int], mask: int, comp: int) -> bool:
+    m = mask
+    while m:
+        b = m & -m
+        if out[b.bit_length() - 1] & comp != comp:
+            return False
+        m ^= b
+    m = comp
+    while m:
+        b = m & -m
+        if out[b.bit_length() - 1] & mask:
+            return False
+        m ^= b
+    return True
 
 
 def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
@@ -254,7 +340,7 @@ def random_mixed_disconnected(rng: Random, max_n: int = 8) -> StrictDigraph:
     while True:
         part = rng.randint(3, max_n - 1)
         g = random_digraph(rng, part, rng.choice([0.3, 0.5, 0.7]))
-        if oracle_has_complete_dicut(g) or oracle_is_strong(g):
+        if brute_force_complete_dicut(g) is not None or oracle_is_strong(g):
             continue
         if len(weak_components(g)) != 1:
             continue
@@ -268,7 +354,7 @@ def random_mixed_disconnected(rng: Random, max_n: int = 8) -> StrictDigraph:
 def random_dicut_free(rng: Random, max_n: int = 8) -> StrictDigraph:
     while True:
         g = random_digraph(rng, rng.randint(3, max_n), rng.choice([0.2, 0.4, 0.6]))
-        if not oracle_has_complete_dicut(g):
+        if brute_force_complete_dicut(g) is None:
             return g
 
 
@@ -313,7 +399,7 @@ def oracle_extend(g: StrictDigraph) -> tuple[tuple, StrictDigraph]:
     cond = strong_components(g)
     if cond.c == 1:
         return _oracle_grow(g)
-    groups = [cond.components_in_weak(wid) for wid in range(cond.c)]
+    groups = cond.weak_groups
     if all(len(group) == 1 for group in groups):
         bridge = _oracle_link_strong(cond)
         return tuple(bridge), g.with_edges(bridge)
@@ -426,7 +512,7 @@ def oracle_search_balanced_realization(h: StrictDigraph, k: int, direction: str)
             beats = beats_digraph(candidate, direction)
             if not h.edges <= beats.edges:
                 return None
-            if not _tournament_has_cycle(beats):
+            if not tournament_has_cycle(beats):
                 return None
             return candidate
         for i in range(n):

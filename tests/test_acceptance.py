@@ -14,7 +14,6 @@ from strongext import (
     StrictDigraph,
     beats_digraph,
     bounds,
-    brute_force_complete_dicut,
     brute_force_min_extension,
     extend,
     find_complete_dicut,
@@ -36,6 +35,7 @@ from conftest import record_verdict
 from helpers import (
     all_strict_digraphs,
     all_tournaments,
+    brute_force_complete_dicut,
     criterion_sample,
     has_strong_completion,
     oracle_extend,
@@ -98,9 +98,7 @@ def test_criterion_02_extension_size_bound():
             assert g.edges <= plan.resulting.edges
             assert oracle_is_strong(plan.resulting)
             assert len(plan.added) <= cond.r
-            all_weak_strong = all(
-                len(cond.components_in_weak(w)) == 1 for w in range(cond.c)
-            )
+            all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
             hits_r = len(plan.added) == cond.r
             assert hits_r == (cond.c > 1 and all_weak_strong)
 

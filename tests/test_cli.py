@@ -211,6 +211,13 @@ class TestExtend:
         assert code == 1
         assert out == "no strong extension exists\ndicut: {0}\n"
 
+    @pytest.mark.parametrize("graph", ["n 0\n", "n 1\n", "n 2\n", "n 2\n0 1\n"])
+    def test_minimize_too_small(self, capsys, write, graph):
+        code, out, err = run(capsys, "extend", write(graph), "--minimize")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need at least 3 vertices")
+
     def test_minimize_budget(self, capsys, write):
         code, _, err = run(capsys, "extend", write("n 23\n"), "--minimize")
         assert code == 3
@@ -336,6 +343,16 @@ class TestDiceRealize:
         code, _, err = run(capsys, "dice", "realize", write("n 4\n"), "-k", "4")
         assert code == 3
         assert err.startswith("budget exceeded:")
+
+    @pytest.mark.parametrize(
+        "graph, k", [("n 2000\n", "1"), (CYCLE3, "1000000000")]
+    )
+    def test_budget_on_huge_deal_counts(self, capsys, write, graph, k):
+        code, out, err = run(capsys, "dice", "realize", write(graph), "-k", k)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget exceeded:")
+        assert "Traceback" not in err
 
     def test_json_success(self, capsys, write):
         code, out, _ = run(

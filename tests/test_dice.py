@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from strongext import (
     is_balanced,
     is_strong,
     parse_dice,
-    realization_search_space,
     realizes,
     search_balanced_realization,
     serialize_dice,
@@ -25,20 +25,21 @@ from strongext import (
     win_matrix,
     win_probability,
 )
-from strongext.dice import _tournament_has_cycle
+from strongext.dice import SEARCH_BUDGET, _over_budget
 
 from helpers import (
     all_strict_digraphs,
     all_tournaments,
     isomorphism_class_representatives,
     oracle_search_balanced_realization,
+    tournament_has_cycle,
 )
 from strategies import dice_sets
 
 ROCK_PAPER = DiceSet(((1, 5, 9), (3, 4, 8), (2, 6, 7)))
 ORDERED = DiceSet(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
-CYCLE3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-TT3 = StrictDigraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
+TT3 = StrictDigraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestDiceSet:
@@ -221,7 +222,7 @@ class TestRealizes:
         assert realizes(ROCK_PAPER, CYCLE3)
 
     def test_subgraph(self):
-        single = StrictDigraph.from_edges(3, [(0, 1)])
+        single = StrictDigraph(3, [(0, 1)])
         assert realizes(ROCK_PAPER, single)
         assert realizes(ROCK_PAPER, StrictDigraph(3, frozenset()))
 
@@ -248,13 +249,16 @@ class TestTournamentCycleCheck:
         # a tournament has a cycle iff some strong component has 2+ vertices
         for n in range(7):
             for t in all_tournaments(n):
-                assert _tournament_has_cycle(t) == (strong_components(t).r < t.n)
+                assert tournament_has_cycle(t) == (strong_components(t).r < t.n)
 
 
 class TestSearch:
     def test_search_space(self):
-        assert realization_search_space(3, 3) == 1680
-        assert realization_search_space(3, 1) == 6
+        # the budget counts complete deals, (nk)! / (k!)^n
+        for n in range(3, 13):
+            for k in range(1, 13):
+                deals = math.factorial(n * k) // math.factorial(k) ** n
+                assert _over_budget(n, k) == (deals > SEARCH_BUDGET), (n, k)
 
     def test_cycle_finds_reference_set(self):
         assert search_balanced_realization(CYCLE3, 3) == ROCK_PAPER
@@ -269,7 +273,7 @@ class TestSearch:
         assert search_balanced_realization(TT3, 3) is None
 
     def test_single_edge_target(self):
-        h = StrictDigraph.from_edges(3, [(0, 1)])
+        h = StrictDigraph(3, [(0, 1)])
         d = search_balanced_realization(h, 3)
         assert d is not None
         assert realizes(d, h)
@@ -285,7 +289,7 @@ class TestSearch:
         assert search_balanced_realization(CYCLE3, 1) is None
 
     def test_deterministic(self):
-        h = StrictDigraph.from_edges(3, [(1, 2)])
+        h = StrictDigraph(3, [(1, 2)])
         assert search_balanced_realization(
             h, 3
         ) == search_balanced_realization(h, 3)
@@ -299,8 +303,11 @@ class TestSearch:
             search_balanced_realization(CYCLE3, 0)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            search_balanced_realization(StrictDigraph(4, frozenset()), 4)
+        # the last three deal counts have thousands to billions of digits,
+        # so the check must not form them
+        for n, k in ((4, 4), (2000, 1), (200_000, 5), (3, 10**9)):
+            with pytest.raises(BudgetError, match=f"{n} dice of {k} faces"):
+                search_balanced_realization(StrictDigraph(n), k)
 
 
 class TestSearchMatchesOracle:
@@ -327,7 +334,7 @@ class TestSearchMatchesOracle:
             ) == oracle_search_balanced_realization(h, 4, WINNER_TO_LOSER)
 
     def test_four_cycle_three_faces(self):
-        h = StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        h = StrictDigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         found = search_balanced_realization(h, 3)
         assert found is not None
         assert found == oracle_search_balanced_realization(h, 3, WINNER_TO_LOSER)
@@ -517,14 +524,14 @@ class TestRealizationClaim:
     """
 
     def test_dicut_target_realized_without_strong_beats(self):
-        h = StrictDigraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+        h = StrictDigraph(4, [(0, 3), (1, 3), (2, 3)])
         assert find_complete_dicut(h).sorted_vertices() == (0, 1, 2)
         d = search_balanced_realization(h, 3)
         assert d == DiceSet(((1, 8, 11), (2, 6, 12), (3, 7, 10), (4, 5, 9)))
         assert is_balanced(d) == (True, Fraction(5, 9))
         beats = beats_digraph(d)
         assert realizes(d, h)
-        assert _tournament_has_cycle(beats) and not is_strong(beats)
+        assert tournament_has_cycle(beats) and not is_strong(beats)
 
     def test_dicut_free_four_vertex_classes_realized(self):
         free = [

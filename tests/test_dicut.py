@@ -9,8 +9,6 @@ from strongext import (
     DicutCertificate,
     InvalidCertificateError,
     StrictDigraph,
-    brute_force_complete_dicut,
-    dicut_deficiency,
     find_complete_dicut,
     format_certificate,
     parse_certificate,
@@ -19,17 +17,18 @@ from strongext import (
 
 from helpers import (
     all_strict_digraphs,
+    brute_force_complete_dicut,
     has_strong_completion,
     oracle_find_complete_dicut,
 )
 from strategies import strict_digraphs
 
-PATH3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2)])
-CYCLE3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-TT3 = StrictDigraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-OUT_STAR = StrictDigraph.from_edges(3, [(0, 1), (0, 2)])
+PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
+CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
+TT3 = StrictDigraph(3, [(0, 1), (0, 2), (1, 2)])
+OUT_STAR = StrictDigraph(3, [(0, 1), (0, 2)])
 # oriented K_{2,2} with the pair {1, 3} left non-adjacent
-K22_MINUS = StrictDigraph.from_edges(4, [(0, 2), (0, 3), (1, 2)])
+K22_MINUS = StrictDigraph(4, [(0, 2), (0, 3), (1, 2)])
 
 
 class TestVerify:
@@ -92,12 +91,12 @@ class TestFind:
     def test_tiny_orders(self):
         assert find_complete_dicut(StrictDigraph(0, frozenset())) is None
         assert find_complete_dicut(StrictDigraph(1, frozenset())) is None
-        single = StrictDigraph.from_edges(2, [(0, 1)])
+        single = StrictDigraph(2, [(0, 1)])
         assert find_complete_dicut(single) == DicutCertificate(frozenset({0}))
 
     def test_returns_lexicographically_smallest(self):
         # the transitive tournament on 4 has sides {0}, {0,1}, {0,1,2}
-        tt4 = StrictDigraph.from_edges(
+        tt4 = StrictDigraph(
             4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         )
         assert find_complete_dicut(tt4) == DicutCertificate(frozenset({0}))
@@ -113,7 +112,7 @@ class TestBruteForce:
         assert brute_force_complete_dicut(CYCLE3) is None
 
     def test_disjoint_cycles_have_none(self):
-        g = StrictDigraph.from_edges(
+        g = StrictDigraph(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
         assert brute_force_complete_dicut(g) is None
@@ -122,8 +121,6 @@ class TestBruteForce:
         big = StrictDigraph(23, frozenset())
         with pytest.raises(BudgetError):
             brute_force_complete_dicut(big)
-        with pytest.raises(BudgetError):
-            dicut_deficiency(big)
 
 
 class TestDetectorAgreement:
@@ -224,32 +221,3 @@ class TestOracleAgreement:
             assert cert == oracle_find_complete_dicut(g)
             if cert is not None:
                 assert verify_complete_dicut(g, cert)
-
-
-class TestDeficiency:
-    def test_complete_dicut_is_zero(self):
-        assert dicut_deficiency(TT3) == (0, frozenset({0}))
-
-    def test_path(self):
-        assert dicut_deficiency(PATH3) == (1, frozenset({0}))
-
-    def test_strong_has_no_dicut(self):
-        assert dicut_deficiency(CYCLE3) is None
-
-    def test_edgeless(self):
-        assert dicut_deficiency(StrictDigraph(3, frozenset())) == (
-            2,
-            frozenset({0}),
-        )
-
-    @given(strict_digraphs(min_n=1, max_n=8))
-    def test_none_iff_strong(self, g):
-        from strongext import is_strong
-
-        assert (dicut_deficiency(g) is None) == is_strong(g)
-
-    @given(strict_digraphs(min_n=2, max_n=8))
-    def test_zero_iff_complete_dicut(self, g):
-        result = dicut_deficiency(g)
-        has_complete = find_complete_dicut(g) is not None
-        assert (result is not None and result[0] == 0) == has_complete

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from strongext import (
     BudgetError,
     DicutCertificate,
-    DisconnectedError,
     ExtensionPlan,
     HasCompleteDicutError,
     InvalidInputError,
@@ -21,17 +20,13 @@ from strongext import (
     brute_force_min_extension,
     complete_to_tournament,
     extend,
-    extend_connected,
     find_complete_dicut,
     gen_bipartite_plus_isolated,
     gen_disjoint_cycles,
     gen_tt_minus_path,
     hamiltonian_cycle_strong_tournament,
     is_strong,
-    serialize_bounds,
-    serialize_plan,
     strong_components,
-    weak_components,
 )
 
 from strongext.extend import (
@@ -47,16 +42,17 @@ from helpers import (
     oracle_extend,
     oracle_is_strong,
     random_strong_blob,
+    weak_components,
 )
 from strategies import strict_digraphs, tournaments
 
-PATH3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2)])
-CYCLE3 = StrictDigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-TT3 = StrictDigraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-TT4_MINUS_PATH = StrictDigraph.from_edges(4, [(0, 2), (0, 3), (1, 3)])
+PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
+CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
+TT3 = StrictDigraph(3, [(0, 1), (0, 2), (1, 2)])
+TT4_MINUS_PATH = StrictDigraph(4, [(0, 2), (0, 3), (1, 3)])
 TWO_CYCLES = gen_disjoint_cycles(3, 2)
-PATH_PLUS_ISOLATED = StrictDigraph.from_edges(4, [(0, 1), (1, 2)])
-K22_MINUS = StrictDigraph.from_edges(4, [(0, 2), (0, 3), (1, 2)])
+PATH_PLUS_ISOLATED = StrictDigraph(4, [(0, 1), (1, 2)])
+K22_MINUS = StrictDigraph(4, [(0, 2), (0, 3), (1, 2)])
 
 
 def induced(g: StrictDigraph, vertices) -> StrictDigraph:
@@ -76,33 +72,31 @@ def all_weak_components_strong(g: StrictDigraph) -> bool:
 
 
 class TestExtendConnected:
+    """``extend`` on weakly connected inputs, which need at most r - 1 edges."""
+
     def test_path(self):
-        plan = extend_connected(PATH3)
+        plan = extend(PATH3)
         assert plan.added == ((2, 0),)
         assert is_strong(plan.resulting)
 
     def test_tt4_minus_path(self):
-        plan = extend_connected(TT4_MINUS_PATH)
+        plan = extend(TT4_MINUS_PATH)
         assert plan.added == ((2, 1), (1, 0), (3, 2))
         assert is_strong(plan.resulting)
         assert len(plan.added) == strong_components(TT4_MINUS_PATH).r - 1
 
     def test_already_strong(self):
-        plan = extend_connected(CYCLE3)
+        plan = extend(CYCLE3)
         assert plan.added == ()
         assert plan.resulting == CYCLE3
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(DisconnectedError):
-            extend_connected(TWO_CYCLES)
-
     def test_rejects_small(self):
         with pytest.raises(TooSmallError):
-            extend_connected(StrictDigraph.from_edges(2, [(0, 1)]))
+            extend(StrictDigraph(2, [(0, 1)]))
 
     def test_rejects_complete_dicut(self):
         with pytest.raises(HasCompleteDicutError) as info:
-            extend_connected(TT3)
+            extend(TT3)
         assert info.value.certificate == DicutCertificate(frozenset({0}))
 
 
@@ -124,7 +118,7 @@ class TestExtend:
         assert is_strong(plan.resulting)
 
     def test_cycle_plus_isolated(self):
-        g = StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 0)])
+        g = StrictDigraph(4, [(0, 1), (1, 2), (2, 0)])
         plan = extend(g)
         assert plan.added == ((0, 3), (3, 1))
         assert is_strong(plan.resulting)
@@ -132,9 +126,6 @@ class TestExtend:
     def test_three_isolated(self):
         plan = extend(StrictDigraph(3, frozenset()))
         assert plan.added == ((0, 1), (1, 2), (2, 0))
-
-    def test_delegates_when_connected(self):
-        assert extend(PATH3) == extend_connected(PATH3)
 
     @settings(max_examples=200)
     @given(strict_digraphs(min_n=3, max_n=7))
@@ -252,7 +243,7 @@ class TestExtendMatchesOracle:
             TWO_CYCLES,
             PATH_PLUS_ISOLATED,
             K22_MINUS,
-            StrictDigraph.from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+            StrictDigraph(4, [(0, 1), (1, 2), (2, 0)]),
             StrictDigraph(3, frozenset()),
             gen_tt_minus_path(7),
             gen_bipartite_plus_isolated(2, 3),
@@ -384,7 +375,7 @@ class TestMatchingBound:
         edges = [
             (i, 3 + j) for i in range(3) for j in range(3) if i != j
         ]
-        g = StrictDigraph.from_edges(6, edges)
+        g = StrictDigraph(6, edges)
         assert bipartite_matching_lower_bound(g, [0, 1, 2], [3, 4, 5]) == 3
         result = brute_force_min_extension(g)
         assert result is not None and result[0] == 3
@@ -392,7 +383,7 @@ class TestMatchingBound:
     def test_one_missing_pair(self):
         edges = [(i, 2 + j) for i in range(2) for j in range(3)]
         edges.remove((0, 2))
-        g = StrictDigraph.from_edges(5, edges)
+        g = StrictDigraph(5, edges)
         assert bipartite_matching_lower_bound(g, [0, 1], [2, 3, 4]) == 4
 
     def test_complete_bipartite_rejected(self):
@@ -488,11 +479,21 @@ class TestBruteForceMinExtension:
         assert plan.added == ((0, 1), (1, 2), (2, 0))
 
     def test_no_extension_exists(self):
-        out_star = StrictDigraph.from_edges(3, [(0, 1), (0, 2)])
+        out_star = StrictDigraph(3, [(0, 1), (0, 2)])
         assert brute_force_min_extension(out_star) is None
 
     def test_already_strong(self):
         assert brute_force_min_extension(CYCLE3) == (0, extend(CYCLE3))
+
+    def test_rejects_fewer_than_three_vertices(self):
+        for g in (
+            StrictDigraph(0),
+            StrictDigraph(1),
+            StrictDigraph(2),
+            StrictDigraph(2, [(0, 1)]),
+        ):
+            with pytest.raises(TooSmallError, match="need at least 3 vertices"):
+                brute_force_min_extension(g)
 
     def test_budgets(self):
         with pytest.raises(BudgetError):
@@ -509,7 +510,7 @@ class TestBruteForceMinExtension:
         # the package's ``extend`` function shadows the module's name
         module = sys.modules["strongext.extend"]
         monkeypatch.setattr(module, "_min_extension_search", no_search)
-        g = StrictDigraph.from_edges(8, [(a, b) for a in (6, 7) for b in range(6)])
+        g = StrictDigraph(8, [(a, b) for a in (6, 7) for b in range(6)])
         assert brute_force_min_extension(g) is None
 
     def test_bipartite_family_needs_p_plus_q(self):
@@ -560,7 +561,8 @@ class TestBruteForceMatchesOracle:
     """The pruned search against plain enumeration: same size, same plan."""
 
     def test_every_digraph_up_to_four_vertices(self):
-        for n in range(5):
+        # below 3 vertices the search refuses, as extend and bounds do
+        for n in range(3, 5):
             for g in all_strict_digraphs(n):
                 expected = oracle_brute_force_min_extension(g)
                 assert brute_force_min_extension(g) == expected
@@ -629,7 +631,7 @@ class TestHamiltonianCycle:
     def test_rotational_five_tournament(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
         edges += [(i, (i + 2) % 5) for i in range(5)]
-        t = StrictDigraph.from_edges(5, edges)
+        t = StrictDigraph(5, edges)
         cycle = hamiltonian_cycle_strong_tournament(t)
         assert_valid_hamiltonian_cycle(t, cycle)
 
@@ -640,7 +642,7 @@ class TestHamiltonianCycle:
     def test_rejects_small(self):
         with pytest.raises(TooSmallError):
             hamiltonian_cycle_strong_tournament(
-                StrictDigraph.from_edges(2, [(0, 1)])
+                StrictDigraph(2, [(0, 1)])
             )
 
     def test_rejects_non_tournament(self):
@@ -703,23 +705,3 @@ class TestGenerators:
         with pytest.raises(InvalidInputError):
             gen_disjoint_cycles(3, 0)
 
-
-class TestSerialization:
-    def test_plan(self):
-        assert (
-            serialize_plan(extend_connected(PATH3))
-            == "+ 2 0\nn 3\n0 1\n1 2\n2 0\n"
-        )
-
-    def test_plan_without_additions(self):
-        assert serialize_plan(extend(CYCLE3)) == "n 3\n0 1\n1 2\n2 0\n"
-
-    def test_bounds_full(self):
-        assert serialize_bounds(bounds(PATH_PLUS_ISOLATED)) == (
-            "lower: 2\nupper-theorem: 3\nupper-cyclic: 2\n"
-            "upper-prop: 2\nbrute-min: 2\n"
-        )
-
-    def test_bounds_omits_absent_fields(self):
-        text = serialize_bounds(bounds(PATH3))
-        assert text == "lower: 1\nupper-theorem: 2\nbrute-min: 1\n"
