@@ -50,12 +50,10 @@ from .errors import (
     TooSmallError,
 )
 from .extend import (
-    CYCLIC_ORDER_PERMUTATION_LIMIT,
     MIN_EXTENSION_PAIR_BUDGET,
     MIN_EXTENSION_VERTEX_BUDGET,
     BoundsReport,
     ExtensionPlan,
-    bipartite_matching_lower_bound,
     bounds,
     brute_force_min_extension,
     complete_to_tournament,

@@ -7,6 +7,7 @@ by the first die; it beats the second when c > k * k / 2, strictly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,7 +100,8 @@ def serialize_dice(d: DiceSet) -> str:
 
 
 def _win_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(1 for x in a for y in b if x > y)
+    """Face pairs won by ``a`` against ``b``, whose faces must be sorted."""
+    return sum(bisect_left(b, x) for x in a)
 
 
 def win_probability(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
@@ -112,7 +114,7 @@ def win_probability(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
         )
     if set(a) & set(b):
         raise InvalidDiceError("dice must not share face values")
-    return Fraction(_win_count(a, b), len(a) * len(b))
+    return Fraction(_win_count(a, sorted(b)), len(a) * len(b))
 
 
 @dataclass(frozen=True)

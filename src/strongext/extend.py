@@ -12,10 +12,9 @@ in the test suite's ``tests/helpers.py``, not here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .dicut import DicutCertificate, find_complete_dicut
+from .dicut import find_complete_dicut
 from .digraph import (
     Condensation,
     Edge,
@@ -34,7 +33,6 @@ from .errors import (
 
 MIN_EXTENSION_PAIR_BUDGET = 24
 MIN_EXTENSION_VERTEX_BUDGET = 10
-CYCLIC_ORDER_PERMUTATION_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,10 @@ class ExtensionPlan:
 class BoundsReport:
     """Bounds on the minimum number of added edges for a strong extension.
 
-    ``lower`` is max(s, t), or 0 for an already strong input.  The matched
-    and cyclic entries are None when their shape precondition does not hold
-    (purely bipartite orientation, respectively disconnectedness), and
+    ``lower`` is max(s, t), or 0 for an already strong input.
+    ``lower_matched`` is None unless every strong component is a single
+    vertex that is a source or a sink but not both.  ``upper_cyclic`` and
+    ``upper_prop`` are None unless the input is disconnected (c > 1), and
     ``brute_min`` is None when the exact search budget is exceeded.
     """
 
@@ -299,12 +298,17 @@ def bounds(g: StrictDigraph, *, brute: bool = True) -> BoundsReport:
 def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsReport:
     """Bounds for a connectable digraph g with condensation cond."""
     lower = max(cond.s, cond.t) if cond.r > 1 else 0
-    lower_matched = _oriented_bipartite_bound(g)
     all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
     upper_theorem = cond.r if (cond.c > 1 and all_weak_strong) else cond.r - 1
     upper_cyclic = upper_prop = None
     if cond.c > 1:
-        upper_cyclic = _best_cyclic_bound(cond)
+        sources, sinks = cond.source_components, cond.sink_components
+        upper_cyclic = _best_cyclic_bound(
+            [
+                (len(sources.intersection(group)), len(sinks.intersection(group)))
+                for group in cond.weak_groups
+            ]
+        )
         upper_prop = cond.s + cond.t - cond.c
     brute_min = None
     if (
@@ -318,7 +322,7 @@ def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsRep
         brute_min = result[0]
     return BoundsReport(
         lower=lower,
-        lower_matched=lower_matched,
+        lower_matched=_matched_bound(g, cond),
         upper_theorem=upper_theorem,
         upper_cyclic=upper_cyclic,
         upper_prop=upper_prop,
@@ -326,35 +330,20 @@ def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsRep
     )
 
 
-def _oriented_bipartite_bound(g: StrictDigraph) -> int | None:
-    """Matching-based lower bound when every vertex is purely tail or head."""
-    tails = {u for u, _ in g.edges}
-    heads = {v for _, v in g.edges}
-    if not tails or tails & heads or len(tails) + len(heads) != g.n:
-        return None
-    return bipartite_matching_lower_bound(g, sorted(tails), sorted(heads))
+def _matched_bound(g: StrictDigraph, cond: Condensation) -> int | None:
+    """Lower bound s + t - m when every strong component is one vertex that
+    is a source or a sink but not both, so every edge runs from a source
+    vertex in xs to a sink vertex in ys.
 
-
-def bipartite_matching_lower_bound(g: StrictDigraph, xs, ys) -> int:
-    """Lower bound |xs| + |ys| - m for a digraph oriented from xs to ys.
-
-    m is the size of a maximum matching from ys into xs over the pairs not
-    adjacent in g; those are the only legal return edges, and each can serve
-    one xs vertex needing an entering edge and one ys vertex needing a
-    leaving edge at the same time.
+    m is a maximum matching from ys into xs over the pairs not adjacent in
+    g: those are the only legal return edges, and each can serve one xs
+    vertex needing an entering edge and one ys vertex needing a leaving one.
     """
-    xs = sorted(set(xs))
-    ys = sorted(set(ys))
-    x_set, y_set = set(xs), set(ys)
-    if not xs or not ys:
-        raise InvalidInputError("both sides of the bipartition must be nonempty")
-    if x_set & y_set or (x_set | y_set) != set(range(g.n)):
-        raise InvalidInputError("xs and ys must partition the vertex set")
-    for u, v in g.edges:
-        if u not in x_set or v not in y_set:
-            raise InvalidInputError(f"edge ({u}, {v}) does not go from xs to ys")
-    if len(g.edges) == len(xs) * len(ys):
-        raise HasCompleteDicutError(DicutCertificate(frozenset(xs)))
+    sources, sinks = cond.source_components, cond.sink_components
+    if cond.r != g.n or len(sources ^ sinks) != cond.r:
+        return None
+    xs = sorted(cond.components[cid][0] for cid in sources)
+    ys = sorted(cond.components[cid][0] for cid in sinks)
     candidates = {y: [x for x in xs if (x, y) not in g.edges] for y in ys}
     return len(xs) + len(ys) - _max_matching(ys, candidates)
 
@@ -391,32 +380,41 @@ def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
     return size
 
 
-def _best_cyclic_bound(cond: Condensation) -> int:
-    """Upper bound from linking weak components in a cyclic order.
+def _best_cyclic_bound(per_weak: list[tuple[int, int]]) -> int:
+    """Cheapest cyclic order of the weak components, given each one's
+    (source count s, sink count t).
 
-    Joining consecutive components costs max(t_prev, s_next) edges.  Every
-    rotation of a cyclic order has the same consecutive pairs, so up to
-    CYCLIC_ORDER_PERMUTATION_LIMIT weak components the orders starting with
-    weak component 0 are all tried; above it only the base order, by
-    smallest vertex, is.
+    Joining t sinks to the next component's s sources costs max(t, s) =
+    t + max(0, s - t) edges: the one-state-variable travelling salesman
+    problem, solved exactly by Gilmore and Gomory (Oper. Res. 12, 1964).
+    Following the i-th smallest t by the i-th smallest s is an optimal
+    assignment that may split into cycles.  Exchanging the successors at
+    sorted positions i and i + 1 joins two at cost max(0, low_(i+1) -
+    high_(i)), low and high being the least and greatest of t_(i), s_(i).
+    The tour costs the assignment plus a minimum spanning tree (Kruskal).
     """
-    per_weak: list[tuple[int, int]] = []
-    for group in cond.weak_groups:
-        s_w = sum(1 for cid in group if cid in cond.source_components)
-        t_w = sum(1 for cid in group if cid in cond.sink_components)
-        per_weak.append((s_w, t_w))
-    k = cond.c
-    if k <= CYCLIC_ORDER_PERMUTATION_LIMIT:
-        orders = ((0,) + rest for rest in itertools.permutations(range(1, k)))
-    else:
-        orders = [tuple(range(k))]
-    return min(
-        sum(
-            max(per_weak[order[i - 1]][1], per_weak[order[i]][0])
-            for i in range(k)
-        )
-        for order in orders
-    )
+    k = len(per_weak)
+    by_t = sorted(range(k), key=lambda w: per_weak[w][1])
+    by_s = sorted(range(k), key=lambda w: per_weak[w][0])
+    ends = [(per_weak[a][1], per_weak[b][0]) for a, b in zip(by_t, by_s)]
+    low, high = [min(e) for e in ends], [max(e) for e in ends]
+    parent = list(range(k))
+
+    def find(w: int) -> int:
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    for a, b in zip(by_t, by_s):  # the assignment's cycles
+        parent[find(a)] = find(b)
+    total = sum(high)
+    for cost, i in sorted((max(0, low[i + 1] - high[i]), i) for i in range(k - 1)):
+        a, b = find(by_t[i]), find(by_t[i + 1])
+        if a != b:
+            parent[a] = b
+            total += cost
+    return total
 
 
 def brute_force_min_extension(
@@ -429,9 +427,10 @@ def brute_force_min_extension(
     and a set uses each pair at most once.  Returns None when no strong
     extension exists at all.
 
-    A complete dicut joins only adjacent pairs, so no added edge crosses it
-    and the answer is None at once.  Otherwise every source component needs
-    an added edge entering it and every sink component one leaving it, and
+    A strong input gets 0, and one with a complete dicut None, before the
+    budget is checked: a complete dicut joins only adjacent pairs, so no
+    added edge crosses it.  Otherwise every source component needs an
+    added edge entering it and every sink component one leaving it, and
     one edge serves at most one of each: sizes below max(s, t) are skipped,
     and a partial set is abandoned when the picks left cannot serve the
     components still unserved, or when one of those has no serving candidate
@@ -440,20 +439,20 @@ def brute_force_min_extension(
     ``extend`` and ``bounds``, it needs at least 3 vertices.
     """
     _require_order(g)
-    pairs = g.nonadjacent_pairs()
-    if len(pairs) > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
-        raise BudgetError(
-            f"minimum-extension search supports at most "
-            f"{MIN_EXTENSION_PAIR_BUDGET} addable pairs on "
-            f"{MIN_EXTENSION_VERTEX_BUDGET} vertices; "
-            f"got {len(pairs)} pairs on {g.n} vertices"
-        )
     cond = strong_components(g)
     if cond.r == 1:
         return 0, ExtensionPlan((), g)
     if find_complete_dicut(g) is not None:
         return None
-    combo = _min_extension_search(g, cond, pairs)
+    free = g.n * (g.n - 1) // 2 - len(g.edges)  # one edge per adjacent pair
+    if free > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
+        raise BudgetError(
+            f"minimum-extension search supports at most "
+            f"{MIN_EXTENSION_PAIR_BUDGET} addable pairs on "
+            f"{MIN_EXTENSION_VERTEX_BUDGET} vertices; "
+            f"got {free} pairs on {g.n} vertices"
+        )
+    combo = _min_extension_search(g, cond, g.nonadjacent_pairs())
     if combo is None:
         return None
     return len(combo), ExtensionPlan(combo, g.with_edges(combo))

@@ -526,3 +526,45 @@ def oracle_search_balanced_realization(h: StrictDigraph, k: int, direction: str)
         return None
 
     return deal(1)
+
+
+def oracle_win_count(a, b) -> int:
+    """Face pairs won by ``a`` against ``b``, comparing every pair.
+
+    The reference for the library's count by bisection on sorted faces.
+    """
+    return sum(1 for x in a for y in b if x > y)
+
+
+def held_karp_cyclic_cost(per_weak) -> int:
+    """Cheapest cyclic order of weak components, by subset dynamic programming.
+
+    ``per_weak`` holds each weak component's (source count, sink count), and
+    going from a to b costs max(t_a, s_b).  Held and Karp's recursion: the
+    cheapest path from component 0 through a set of the others, ending at
+    a given one, is built up over the sets in increasing order.  Exact at
+    any size, in time 2^c c^2; the reference for the cyclic bound where
+    trying every order is too slow.
+    """
+    k = len(per_weak)
+    cost = [[max(per_weak[a][1], per_weak[b][0]) for b in range(k)] for a in range(k)]
+    if k == 1:
+        return cost[0][0]
+    # best[mask][j]: bit j - 1 of mask marks component j as visited
+    full = (1 << k - 1) - 1
+    best = [[None] * k for _ in range(full + 1)]
+    for j in range(1, k):
+        best[1 << j - 1][j] = cost[0][j]
+    for mask in range(1, full + 1):
+        for j in range(1, k):
+            here = best[mask][j]
+            if here is None:
+                continue
+            for nxt in range(1, k):
+                bit = 1 << nxt - 1
+                if mask & bit:
+                    continue
+                old = best[mask | bit][nxt]
+                if old is None or here + cost[j][nxt] < old:
+                    best[mask | bit][nxt] = here + cost[j][nxt]
+    return min(best[full][j] + cost[j][0] for j in range(1, k))

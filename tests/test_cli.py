@@ -211,6 +211,16 @@ class TestExtend:
         assert code == 1
         assert out == "no strong extension exists\ndicut: {0}\n"
 
+    def test_minimize_dicut_input_above_budget(self, capsys, write):
+        # a complete dicut needs no search, so the size budget does not apply
+        tt11 = "n 11\n" + "".join(
+            f"{i} {j}\n" for i in range(11) for j in range(i + 1, 11)
+        )
+        code, out, err = run(capsys, "extend", write(tt11), "--minimize")
+        assert code == 1
+        assert out == "no strong extension exists\ndicut: {0}\n"
+        assert err == ""
+
     @pytest.mark.parametrize("graph", ["n 0\n", "n 1\n", "n 2\n", "n 2\n0 1\n"])
     def test_minimize_too_small(self, capsys, write, graph):
         code, out, err = run(capsys, "extend", write(graph), "--minimize")
@@ -309,6 +319,21 @@ class TestDiceEval:
         assert payload["balanced"] is True
         assert payload["p"] == "5/9"
         assert payload["beats"]["edges"] == [[0, 1], [1, 2], [2, 0]]
+
+    def test_twenty_thousand_faces(self, capsys, write):
+        # odd faces against even ones: each odd face 2i + 1 beats i faces
+        odd = " ".join(str(2 * i + 1) for i in range(20_000))
+        even = " ".join(str(2 * i + 2) for i in range(20_000))
+        path = write(f"{odd}\n{even}\n")
+        code, out, _ = run(capsys, "dice", "eval", path, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["win_counts"] == [[None, 199_990_000], [200_010_000, None]]
+        assert payload["p"] == "20001/40000"
+        assert payload["beats"]["edges"] == [[1, 0]]
+        code, out, _ = run(capsys, "dice", "eval", path)
+        assert code == 0
+        assert "- 199990000/400000000\n200010000/400000000 -\n" in out
 
     def test_bad_dice_file(self, capsys, write):
         code, _, err = run(capsys, "dice", "eval", write("1 2\n2 3\n"))

@@ -32,6 +32,7 @@ from helpers import (
     all_tournaments,
     isomorphism_class_representatives,
     oracle_search_balanced_realization,
+    oracle_win_count,
     tournament_has_cycle,
 )
 from strategies import dice_sets
@@ -150,6 +151,19 @@ class TestWinMatrix:
         assert m.sides == 3
         assert m.probability(0, 1) == Fraction(5, 9)
         assert m.probability(1, 0) == Fraction(4, 9)
+
+    @given(dice_sets(min_dice=2, max_sides=8))
+    def test_counts_match_every_face_pair(self, d):
+        m = win_matrix(d)
+        for i in range(d.count):
+            for j in range(d.count):
+                if i != j:
+                    a, b = d.dice[i], d.dice[j]
+                    assert m.counts[i][j] == oracle_win_count(a, b)
+                    # win_probability takes its faces in any order
+                    assert win_probability(a[::-1], b[::-1]) == Fraction(
+                        oracle_win_count(a, b), d.sides * d.sides
+                    )
 
 
 class TestBeatsDigraph:

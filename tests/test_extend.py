@@ -15,7 +15,6 @@ from strongext import (
     NotTournamentError,
     StrictDigraph,
     TooSmallError,
-    bipartite_matching_lower_bound,
     bounds,
     brute_force_min_extension,
     complete_to_tournament,
@@ -30,7 +29,6 @@ from strongext import (
 )
 
 from strongext.extend import (
-    CYCLIC_ORDER_PERMUTATION_LIMIT,
     MIN_EXTENSION_PAIR_BUDGET,
     _best_cyclic_bound,
     _max_matching,
@@ -38,9 +36,11 @@ from strongext.extend import (
 
 from helpers import (
     all_strict_digraphs,
+    held_karp_cyclic_cost,
     oracle_brute_force_min_extension,
     oracle_extend,
     oracle_is_strong,
+    random_digraph,
     random_strong_blob,
     weak_components,
 )
@@ -270,39 +270,78 @@ class TestExtendMatchesOracle:
         assert extend(g).resulting is g
 
 
-def full_cyclic_search(cond) -> int:
-    """Cyclic linking bound minimized over every order of the weak components."""
-    per_weak = [
+def per_weak_counts(cond) -> list[tuple[int, int]]:
+    """Each weak component's (source count, sink count)."""
+    return [
         (
             sum(1 for cid in group if cid in cond.source_components),
             sum(1 for cid in group if cid in cond.sink_components),
         )
         for group in cond.weak_groups
     ]
-    k = cond.c
+
+
+def full_cyclic_search(per_weak) -> int:
+    """Cyclic linking cost minimized over every order of the weak components.
+
+    Rotating a cyclic order keeps its consecutive pairs, so only the orders
+    starting with component 0 are tried.
+    """
+    k = len(per_weak)
     return min(
         sum(max(per_weak[o[i - 1]][1], per_weak[o[i]][0]) for i in range(k))
-        for o in itertools.permutations(range(k))
+        for o in ((0,) + rest for rest in itertools.permutations(range(1, k)))
     )
+
+
+def random_counts(rng: Random, c: int) -> list[tuple[int, int]]:
+    """c (source count, sink count) pairs; small ranges make many ties."""
+    top = rng.choice((1, 3, 6, 20))
+    return [(rng.randint(1, top), rng.randint(1, top)) for _ in range(c)]
 
 
 class TestCyclicBound:
     def test_matches_full_permutation_search(self):
         rng = Random(20261019)
-        for c in range(1, CYCLIC_ORDER_PERMUTATION_LIMIT + 1):
+        for c in range(2, 9):
             for _ in range(3):
                 blocks = []
                 for _ in range(c):
                     size = rng.randint(1, 5)
                     blocks.append((size, weakly_connected_block(rng, size)))
-                cond = strong_components(disjoint_union(rng, blocks, True))
+                g = disjoint_union(rng, blocks, True)
+                cond = strong_components(g)
                 assert cond.c == c
-                assert _best_cyclic_bound(cond) == full_cyclic_search(cond)
+                expected = full_cyclic_search(per_weak_counts(cond))
+                assert bounds(g, brute=False).upper_cyclic == expected
 
-    def test_base_order_above_limit(self):
-        k = CYCLIC_ORDER_PERMUTATION_LIMIT + 1
-        cond = strong_components(gen_disjoint_cycles(3, k))
-        assert _best_cyclic_bound(cond) == k
+    def test_matches_permutations_on_random_counts(self):
+        rng = Random(1964)
+        runs = {1: 50, 2: 300, 3: 300, 4: 300, 5: 300, 6: 200, 7: 60, 8: 30}
+        for c, count in runs.items():
+            for _ in range(count):
+                per_weak = random_counts(rng, c)
+                assert _best_cyclic_bound(per_weak) == full_cyclic_search(per_weak)
+
+    def test_sorted_assignment_alone_is_not_enough(self):
+        # sorting pairs each component with itself, at cost 1 + 5; joining
+        # the two loops into one cycle costs 4 more
+        assert _best_cyclic_bound([(1, 1), (5, 5)]) == 10
+
+    def test_matches_held_karp_above_eight(self):
+        rng = Random(1962)
+        for c in range(9, 13):
+            for _ in range(2):
+                per_weak = random_counts(rng, c)
+                assert _best_cyclic_bound(per_weak) == held_karp_cyclic_cost(per_weak)
+        assert bounds(gen_disjoint_cycles(3, 9), brute=False).upper_cyclic == 9
+
+    def test_held_karp_matches_permutations(self):
+        rng = Random(1970)
+        for c in range(1, 8):
+            for _ in range(20):
+                per_weak = random_counts(rng, c)
+                assert held_karp_cyclic_cost(per_weak) == full_cyclic_search(per_weak)
 
 
 class TestBounds:
@@ -369,39 +408,58 @@ class TestBounds:
 
 class TestMatchingBound:
     def test_k22_minus_pair(self):
-        assert bipartite_matching_lower_bound(K22_MINUS, [0, 1], [2, 3]) == 3
+        assert bounds(K22_MINUS).lower_matched == 3
 
     def test_k33_minus_perfect_matching(self):
         edges = [
             (i, 3 + j) for i in range(3) for j in range(3) if i != j
         ]
         g = StrictDigraph(6, edges)
-        assert bipartite_matching_lower_bound(g, [0, 1, 2], [3, 4, 5]) == 3
-        result = brute_force_min_extension(g)
-        assert result is not None and result[0] == 3
+        report = bounds(g)
+        assert report.lower_matched == 3
+        assert report.brute_min == 3
 
     def test_one_missing_pair(self):
         edges = [(i, 2 + j) for i in range(2) for j in range(3)]
         edges.remove((0, 2))
         g = StrictDigraph(5, edges)
-        assert bipartite_matching_lower_bound(g, [0, 1], [2, 3, 4]) == 4
+        assert bounds(g).lower_matched == 4
 
     def test_complete_bipartite_rejected(self):
         g = gen_bipartite_plus_isolated(2, 2)
         k22 = induced(g, [0, 1, 2, 3])
         with pytest.raises(HasCompleteDicutError) as info:
-            bipartite_matching_lower_bound(k22, [0, 1], [2, 3])
+            bounds(k22)
         assert info.value.certificate.origin == frozenset({0, 1})
 
-    def test_rejects_bad_partition(self):
-        with pytest.raises(InvalidInputError):
-            bipartite_matching_lower_bound(K22_MINUS, [0, 1], [1, 2, 3])
-        with pytest.raises(InvalidInputError):
-            bipartite_matching_lower_bound(K22_MINUS, [0], [2, 3])
-
-    def test_rejects_wrong_orientation(self):
-        with pytest.raises(InvalidInputError):
-            bipartite_matching_lower_bound(K22_MINUS, [2, 3], [0, 1])
+    def test_shape_is_every_vertex_purely_tail_or_head(self):
+        # the condensation's test (singleton components, each a source or a
+        # sink but not both) against the edges' own tails and heads
+        rng = Random(3301)
+        graphs = [g for n in (3, 4) for g in all_strict_digraphs(n)]
+        graphs += [random_digraph(rng, rng.randint(5, 9), 0.4) for _ in range(100)]
+        for _ in range(200):
+            p, q = rng.randint(1, 5), rng.randint(2, 5)
+            edges = {
+                (i, p + j) for i in range(p) for j in range(q) if rng.random() < 0.7
+            }
+            if rng.random() < 0.3:
+                # one edge against the orientation, where it fits
+                i, j = rng.randrange(p), rng.randrange(q)
+                if (i, p + j) not in edges:
+                    edges.add((p + j, i))
+            graphs.append(StrictDigraph(p + q, frozenset(edges)))
+        matched = 0
+        for g in graphs:
+            if find_complete_dicut(g) is not None:
+                continue
+            tails = {u for u, _ in g.edges}
+            heads = {v for _, v in g.edges}
+            shaped = bool(tails) and not tails & heads and len(tails | heads) == g.n
+            report = bounds(g, brute=False)
+            assert (report.lower_matched is not None) == shaped
+            matched += shaped
+        assert matched >= 20
 
     def test_matching_is_maximum(self):
         rng = Random(5309)
@@ -433,13 +491,11 @@ class TestMatchingBound:
                 (x, y) for x in xs for y in ys if (x, y) not in missing
             ),
         )
-        assert bipartite_matching_lower_bound(g, xs, ys) == size
+        assert bounds(g, brute=False).lower_matched == size
 
     def test_sound_on_random_bipartite(self):
-        import itertools
-        from random import Random
-
         rng = Random(4217)
+        matched = 0
         for _ in range(40):
             p, q = rng.randint(1, 3), rng.randint(1, 3)
             edges = {
@@ -452,11 +508,11 @@ class TestMatchingBound:
             # the complete orientation, which has no extension either
             if p + q < 3 or len(edges) == p * q:
                 continue
-            bound = bipartite_matching_lower_bound(
-                g, list(range(p)), list(range(p, p + q))
-            )
-            result = brute_force_min_extension(g)
-            assert result is not None and bound <= result[0]
+            report = bounds(g)
+            if report.lower_matched is not None:
+                assert report.lower_matched <= report.brute_min
+                matched += 1
+        assert matched >= 10
 
 
 class TestBruteForceMinExtension:
@@ -500,6 +556,12 @@ class TestBruteForceMinExtension:
             brute_force_min_extension(StrictDigraph(11, frozenset()))
         with pytest.raises(BudgetError):
             brute_force_min_extension(StrictDigraph(8, frozenset()))
+
+    def test_dicut_and_strong_inputs_skip_the_budget(self):
+        # both need no search, so the size budget does not apply
+        tt11 = StrictDigraph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+        assert brute_force_min_extension(tt11) is None
+        assert brute_force_min_extension(gen_disjoint_cycles(12, 1))[0] == 0
 
     def test_dicut_input_skips_the_search(self, monkeypatch):
         # {6, 7} -> all other vertices is a complete dicut; without the
