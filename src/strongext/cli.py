@@ -20,7 +20,8 @@ from .dice import (
     LOSER_TO_WINNER,
     WINNER_TO_LOSER,
     DiceSet,
-    beats_digraph,
+    _balance_from,
+    _beats_from,
     is_balanced,
     parse_dice,
     search_balanced_realization,
@@ -299,18 +300,12 @@ def _read_dice(path: str) -> DiceSet:
     return parse_dice(_read_text(path))
 
 
-def _balance_fields(d: DiceSet) -> tuple[bool | None, Fraction | None]:
-    if d.count < 2:
-        return None, None
-    balanced, p = is_balanced(d)
-    return balanced, p
-
-
 def cmd_dice_eval(args) -> int:
     d = _read_dice(args.file)
+    # balance and the beats digraph are both read off this one matrix
     m = win_matrix(d)
-    balanced, p = _balance_fields(d)
-    beats = beats_digraph(d, args.direction)
+    balanced, p = (None, None) if d.count < 2 else _balance_from(m)
+    beats = _beats_from(m, args.direction)
     if args.json:
         payload = {
             "dice": [list(die) for die in d.dice],

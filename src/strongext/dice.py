@@ -150,11 +150,16 @@ def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph
     """
     if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
         raise InvalidDiceError(f"unknown edge direction {direction!r}")
-    m = win_matrix(d)
-    half = d.sides * d.sides
+    return _beats_from(win_matrix(d), direction)
+
+
+def _beats_from(m: WinMatrix, direction: str) -> StrictDigraph:
+    """The beats digraph of the dice whose win counts m holds."""
+    count = len(m.counts)
+    half = m.sides * m.sides
     edges = set()
-    for i in range(d.count):
-        for j in range(i + 1, d.count):
+    for i in range(count):
+        for j in range(i + 1, count):
             if 2 * m.counts[i][j] > half:
                 winner, loser = i, j
             elif 2 * m.counts[j][i] > half:
@@ -165,7 +170,7 @@ def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph
                 edges.add((winner, loser))
             else:
                 edges.add((loser, winner))
-    return StrictDigraph(d.count, frozenset(edges))
+    return StrictDigraph(count, frozenset(edges))
 
 
 def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
@@ -176,12 +181,17 @@ def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
     """
     if d.count < 2:
         raise InvalidDiceError("balance needs at least two dice")
-    m = win_matrix(d)
-    total = d.sides * d.sides
+    return _balance_from(win_matrix(d))
+
+
+def _balance_from(m: WinMatrix) -> tuple[bool, Fraction | None]:
+    """is_balanced for the dice, at least two, whose win counts m holds."""
+    count = len(m.counts)
+    total = m.sides * m.sides
     tops = {
         max(m.counts[i][j], total - m.counts[i][j])
-        for i in range(d.count)
-        for j in range(i + 1, d.count)
+        for i in range(count)
+        for j in range(i + 1, count)
     }
     if len(tops) != 1:
         return False, None

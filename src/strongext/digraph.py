@@ -6,10 +6,12 @@ one edge per unordered vertex pair.  Vertices are dense indices 0..n-1.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, islice
+from operator import itemgetter, not_
 
 from .errors import ParseError
 
@@ -47,6 +49,16 @@ class StrictDigraph:
         object.__setattr__(result, "edges", edges)
         return result
 
+    @cached_property
+    def _out_lists(self) -> list[list[int]]:
+        """Out-neighbours of each vertex, in no particular order; built on
+        first use and shared by every later one, so callers must not modify
+        them."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            out[u].append(v)
+        return out
+
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
@@ -60,9 +72,12 @@ class StrictDigraph:
         """New digraph with the extra edges added; duplicates are rejected.
 
         Only the extra edges are validated, since the existing ones already
-        were; an extra edge repeated in ``extra`` is added once.
+        were; an extra edge repeated in ``extra`` is added once.  With
+        nothing to add, the digraph itself is returned.
         """
         extra = list(extra)
+        if not extra:
+            return self
         added = set(extra)
         for u, v in extra:
             if u == v:
@@ -196,17 +211,25 @@ class Condensation:
     numbered in order of their smallest vertex, though a non-source
     component may come before a source one.  Weak component ids are ordered
     by smallest member.  Every quotient edge goes from a lower component id
-    to a higher one.  ``weak_groups[wid]`` holds the sorted ids of the
-    strong components inside weak component wid.
+    to a higher one.  ``successors[cid]`` holds the ids of the components
+    that quotient edges from cid enter, and ``weak_groups[wid]`` the sorted
+    ids of the strong components inside weak component wid.
     """
 
     component_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    quotient_edges: frozenset[Edge]
+    successors: tuple[frozenset[int], ...]
     source_components: frozenset[int]
     sink_components: frozenset[int]
     weak_components: tuple[tuple[int, ...], ...]
     weak_groups: tuple[tuple[int, ...], ...]
+
+    @property
+    def quotient_edges(self) -> frozenset[Edge]:
+        """Edges (a, b) of the quotient, one per pair of joined components."""
+        return frozenset(
+            (a, b) for a, targets in enumerate(self.successors) for b in targets
+        )
 
     @property
     def r(self) -> int:
@@ -239,136 +262,167 @@ class Condensation:
         return len(self.source_components | self.sink_components)
 
 
-def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan strongly connected components."""
+_NO_SUCCESSORS: frozenset[int] = frozenset()
+
+
+def _tarjan_sccs(
+    n: int, adj: list[list[int]]
+) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
+    """Iterative Tarjan strongly connected components, with their quotient.
+
+    Components are numbered in the order Tarjan finishes them, so every
+    quotient edge goes to a lower number.  Returns each vertex's component,
+    each component's sorted vertices, and each component's successors,
+    listed once per edge of the digraph into them.
+
+    An edge to a vertex still on the stack stays inside a component; an
+    edge to a finished vertex is a quotient edge, and its target's number is
+    pushed on ``cross`` while the tail's component is open.  When a
+    component closes, the entries above the mark taken at its root's entry
+    are its successors.
+    """
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # set once a vertex's component is finished
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    cross: list[int] = []
+    members: list[tuple[int, ...]] = []
+    succs: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        if not adj[root]:  # a component by itself, with no successors
+            comp[root] = len(members)
+            members.append((root,))
+            succs.append([])
+            continue
+        stack.append(root)
+        # a frame: vertex, its unexamined neighbours, its stack position and
+        # the length of cross on entry
+        work = [(root, iter(adj[root]), 0, len(cross))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+            v, neighbours, pos, mark = work[-1]
+            low_v = low[v]
+            for w in neighbours:
+                index_w = index[w]
+                if index_w < 0:
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
+                comp_w = comp[w]
+                if comp_w < 0:
+                    if index_w < low_v:
+                        low_v = index_w
+                else:
+                    cross.append(comp_w)
+            else:
+                work.pop()
+                if low_v == index[v]:
+                    cid = len(members)
+                    if pos == len(stack) - 1:
+                        stack.pop()
+                        comp[v] = cid
+                        members.append((v,))
+                    else:
+                        block = stack[pos:]
+                        del stack[pos:]
+                        for x in block:
+                            comp[x] = cid
+                        block.sort()
+                        members.append(tuple(block))
+                    succs.append(cross[mark:])
+                    del cross[mark:]
+                    if work:
+                        cross.append(cid)
+                else:
+                    low[v] = low_v
+                    if work:
+                        parent = work[-1][0]
+                        if low_v < low[parent]:
+                            low[parent] = low_v
                 continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
-
-
-def _union_find_roots(k: int, pairs) -> list[int]:
-    """Root of each of k items after joining every pair; a root is the
-    smallest item of its class."""
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return [find(a) for a in range(k)]
+            low[v] = low_v
+            index[w] = low[w] = counter
+            counter += 1
+            work.append((w, iter(adj[w]), len(stack), len(cross)))
+            stack.append(w)
+    return comp, members, succs
 
 
 def strong_components(g: StrictDigraph) -> Condensation:
-    """Condensation of g with deterministically numbered components."""
+    """Condensation of g with deterministically numbered components.
+
+    One Tarjan pass over the out-neighbour lists yields the components and
+    the quotient; renumbering, sources, sinks and weak components then cost
+    time in the number of components and quotient edges only.
+    """
     # the numbering below does not depend on the order Tarjan visits edges
     # in, so the adjacency lists need no sorting
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-    raw = _tarjan_sccs(g.n, adj)
-    raw_of = [0] * g.n
-    for i, comp in enumerate(raw):
-        for v in comp:
-            raw_of[v] = i
-    k = len(raw)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    for u, v in g.edges:
-        a, b = raw_of[u], raw_of[v]
-        if a != b:
-            succ[a].add(b)
+    raw_of, raw_members, raw_succs = _tarjan_sccs(g.n, g._out_lists)
+    k = len(raw_members)
+    # in-degrees count every edge into a component, as the decrements do
     indeg = [0] * k
-    for targets in succ:
-        for b in targets:
-            indeg[b] += 1
+    for j in chain.from_iterable(raw_succs):
+        indeg[j] += 1
+    raw_sources = list(compress(range(k), map(not_, indeg)))
     # components are keyed by their smallest vertex, which is unique
-    heap = [min(raw[i]) for i in range(k) if indeg[i] == 0]
-    heapq.heapify(heap)
+    heap = [raw_members[i][0] for i in raw_sources]
+    heapify(heap)
     order: list[int] = []
     while heap:
-        i = raw_of[heapq.heappop(heap)]
+        i = raw_of[heappop(heap)]
         order.append(i)
-        for j in succ[i]:
+        for j in raw_succs[i]:
             indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, min(raw[j]))
-    new_id = [0] * k
-    for pos, i in enumerate(order):
-        new_id[i] = pos
-    components = tuple(tuple(sorted(raw[i])) for i in order)
-    component_of = tuple(new_id[raw_of[v]] for v in range(g.n))
-    quotient = frozenset(
-        (new_id[a], new_id[b]) for a in range(k) for b in succ[a]
+            if not indeg[j]:
+                heappush(heap, raw_members[j][0])
+    # the inverse of the permutation order
+    renumber = sorted(range(k), key=order.__getitem__).__getitem__
+    component_of = tuple(map(renumber, raw_of))
+    components = tuple(map(raw_members.__getitem__, order))
+    successors = tuple(
+        frozenset(map(renumber, raw_succs[i])) if raw_succs[i] else _NO_SUCCESSORS
+        for i in order
     )
-    has_in = {b for _, b in quotient}
-    has_out = {a for a, _ in quotient}
-    # weak components join strong ones along quotient edges; numbering them
-    # in vertex order orders them by smallest member
-    roots = _union_find_roots(k, quotient)
-    wid_of_root: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    for v in range(g.n):
-        root = roots[component_of[v]]
-        if root not in wid_of_root:
-            wid_of_root[root] = len(blocks)
-            blocks.append([])
-        blocks[wid_of_root[root]].append(v)
-    groups: list[list[int]] = [[] for _ in blocks]
-    for cid in range(k):
-        groups[wid_of_root[roots[cid]]].append(cid)
+    # weak components by one undirected search over the quotient; starting
+    # from components in order of smallest vertex numbers them by smallest
+    # member
+    neighbours: list[list[int]] = [[*targets] for targets in successors]
+    for a, targets in enumerate(successors):
+        for b in targets:
+            neighbours[b].append(a)
+    weak_of = [-1] * k
+    blocks: list[tuple[int, ...]] = []
+    groups: list[tuple[int, ...]] = []
+    firsts = sorted(map(itemgetter(0), components))
+    for start in map(component_of.__getitem__, firsts):
+        if not neighbours[start]:  # no quotient edge: a weak component of its own
+            blocks.append(components[start])
+            groups.append((start,))
+            continue
+        if weak_of[start] >= 0:
+            continue
+        weak_of[start] = len(groups)
+        group = [start]
+        for cid in group:  # grows while it is read: a breadth-first search
+            for other in neighbours[cid]:
+                if weak_of[other] < 0:
+                    weak_of[other] = weak_of[start]
+                    group.append(other)
+        group.sort()
+        blocks.append(
+            tuple(sorted(chain.from_iterable(map(components.__getitem__, group))))
+        )
+        groups.append(tuple(group))
     return Condensation(
         component_of=component_of,
         components=components,
-        quotient_edges=quotient,
-        source_components=frozenset(i for i in range(k) if i not in has_in),
-        sink_components=frozenset(i for i in range(k) if i not in has_out),
-        weak_components=tuple(tuple(block) for block in blocks),
-        weak_groups=tuple(tuple(group) for group in groups),
+        successors=successors,
+        source_components=frozenset(map(renumber, raw_sources)),
+        sink_components=frozenset(compress(range(k), map(not_, successors))),
+        weak_components=tuple(blocks),
+        weak_groups=tuple(groups),
     )
 
 

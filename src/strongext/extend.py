@@ -76,86 +76,91 @@ def _require_no_complete_dicut(g: StrictDigraph):
 class _Growth:
     """The condensation of a digraph, kept up to date as edges are added.
 
-    Strong components are merged by union-find over the ids of the initial
-    condensation.  Every live component (a union-find root) keeps, as vertex
-    bitmasks, its members, everything it reaches (``down``) and everything
-    that reaches it (``up``), both including itself; ``sources`` holds the
-    vertices of the source components.  Adding an edge costs time
-    proportional to the components above its tail and below its head.
+    ``label[v]`` is the live component holding vertex v, named by one of
+    the initial condensation's ids.  Every live component keeps its vertex
+    list and, as vertex bitmasks, its members, everything it reaches
+    (``down``) and everything that reaches it (``up``), both including
+    itself; ``sources`` holds the vertices of the source components.  A
+    merge keeps the largest component's id and relabels the other vertices,
+    so a vertex is relabelled only when its component at least doubles.
+    Adding an edge walks the masks of the components whose reach it grows
+    and of those it merges, each component once per mask.
     """
 
     def __init__(self, g: StrictDigraph, cond: Condensation):
         r = cond.r
         self.all_vertices = (1 << g.n) - 1
-        self.component_of = cond.component_of
-        self.parent = list(range(r))
+        self.label = list(cond.component_of)
+        self.vertices = list(map(list, cond.components))
         self.live = r
         self.members = [sum(1 << v for v in comp) for comp in cond.components]
-        succ: list[list[int]] = [[] for _ in range(r)]
-        pred: list[list[int]] = [[] for _ in range(r)]
-        for a, b in cond.quotient_edges:
-            succ[a].append(b)
-            pred[b].append(a)
+        successors = cond.successors
         # quotient edges go from lower to higher ids
-        self.down = self.members[:]
+        down = self.members[:]
         for cid in range(r - 1, -1, -1):
-            mask = self.down[cid]
-            for b in succ[cid]:
-                mask |= self.down[b]
-            self.down[cid] = mask
-        self.up = self.members[:]
+            mask = down[cid]
+            for b in successors[cid]:
+                mask |= down[b]
+            down[cid] = mask
+        up = self.members[:]
         for cid in range(r):
-            mask = self.up[cid]
-            for a in pred[cid]:
-                mask |= self.up[a]
-            self.up[cid] = mask
+            mask = up[cid]
+            for b in successors[cid]:
+                up[b] |= mask
+        self.down, self.up = down, up
         self.sources = 0
         for cid in cond.source_components:
             self.sources |= self.members[cid]
-        self.out_adj: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in g.edges:
-            self.out_adj[u].append(v)
+        self.out_lists = g._out_lists
         self.out_masks: dict[int, int] = {}
-
-    def find(self, v: int) -> int:
-        """Live component id of vertex v."""
-        parent = self.parent
-        cid = self.component_of[v]
-        while parent[cid] != cid:
-            parent[cid] = parent[parent[cid]]
-            cid = parent[cid]
-        return cid
-
-    def components_in(self, mask: int) -> list[int]:
-        """Live components whose vertices make up mask."""
-        found = []
-        while mask:
-            cid = self.find((mask & -mask).bit_length() - 1)
-            found.append(cid)
-            mask &= ~self.members[cid]
-        return found
 
     def add_edge(self, u: int, v: int):
         """Add u -> v and merge the components it closes a cycle through."""
-        above, below = self.up[self.find(u)], self.down[self.find(v)]
-        for cid in self.components_in(above):
-            self.down[cid] |= below
-        for cid in self.components_in(below):
-            self.up[cid] |= above
-        # the components from v's to u's now lie on a cycle through the edge;
-        # after the updates above they all have up = above and down = below
-        root = self.find(v)
-        for cid in self.components_in(above & below):
-            if cid != root:
-                self.parent[cid] = root
-                self.members[root] |= self.members[cid]
-                self.up[cid] = self.down[cid] = 0
-                self.live -= 1
-        # only the component receiving the edge can change source status
-        if self.up[root] == self.members[root]:
-            self.sources |= self.members[root]
+        label, members, up, down = self.label, self.members, self.up, self.down
+        above, below = up[label[u]], down[label[v]]
+        # a component that already reaches v's reaches all of below, and one
+        # that u's already reaches is reached from all of above
+        gaining_below = above & ~up[label[v]]
+        gaining_above = below & ~down[label[u]]
+        rest = gaining_below
+        while rest:
+            cid = label[(rest & -rest).bit_length() - 1]
+            down[cid] |= below
+            rest ^= members[cid]
+        rest = gaining_above
+        while rest:
+            cid = label[(rest & -rest).bit_length() - 1]
+            up[cid] |= above
+            rest ^= members[cid]
+        # the components from v's to u's, those inside both masks, now lie
+        # on a cycle through the edge
+        closed = above & below
+        cycle: list[int] = []
+        rest = closed
+        while rest:
+            cid = label[(rest & -rest).bit_length() - 1]
+            cycle.append(cid)
+            rest ^= members[cid]
+        if cycle:
+            # after the updates above they all have up = above, down = below
+            vertices = self.vertices
+            root = max(cycle, key=lambda cid: len(vertices[cid]))
+            for cid in cycle:
+                if cid != root:
+                    for x in vertices[cid]:
+                        label[x] = root
+                    vertices[root] += vertices[cid]
+                    vertices[cid] = []
+                    members[cid] = up[cid] = down[cid] = 0
+            members[root] = closed
+            self.live -= len(cycle) - 1
         else:
-            self.sources &= ~self.members[root]
+            root = label[v]
+        # only the component receiving the edge can change source status
+        if up[root] == members[root]:
+            self.sources |= members[root]
+        else:
+            self.sources &= ~members[root]
 
     def source_cut_pair(self) -> Edge | None:
         """Smallest pair (y, x) with y in a source component, x outside all
@@ -171,7 +176,7 @@ class _Growth:
             low = rest & -rest
             y = low.bit_length() - 1
             if y not in self.out_masks:
-                self.out_masks[y] = sum(1 << x for x in self.out_adj[y])
+                self.out_masks[y] = sum(1 << x for x in self.out_lists[y])
             free = outside & ~self.out_masks[y]
             if free:
                 return y, (free & -free).bit_length() - 1
@@ -196,7 +201,7 @@ class _Growth:
                 raise AssertionError("source cut is complete; invariant violated")
             y, x = pick
             step = [(x, y)]
-            up_x = self.up[self.find(x)]
+            up_x = self.up[self.label[x]]
             if not up_x >> y & 1:
                 preds = self.sources & up_x
                 step.append((y, (preds & -preds).bit_length() - 1))
@@ -311,15 +316,13 @@ def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsRep
         )
         upper_prop = cond.s + cond.t - cond.c
     brute_min = None
-    if (
-        brute
-        and g.n <= MIN_EXTENSION_VERTEX_BUDGET
-        and len(g.nonadjacent_pairs()) <= MIN_EXTENSION_PAIR_BUDGET
-    ):
-        result = brute_force_min_extension(g)
-        if result is None:
-            raise AssertionError("no strong extension of a dicut-free digraph")
-        brute_min = result[0]
+    if brute and g.n <= MIN_EXTENSION_VERTEX_BUDGET:
+        pairs = g.nonadjacent_pairs()
+        if len(pairs) <= MIN_EXTENSION_PAIR_BUDGET:
+            combo = _min_extension_search(g, cond, pairs)
+            if combo is None:
+                raise AssertionError("no strong extension of a dicut-free digraph")
+            brute_min = len(combo)
     return BoundsReport(
         lower=lower,
         lower_matched=_matched_bound(g, cond),
@@ -461,7 +464,10 @@ def brute_force_min_extension(
 def _min_extension_search(
     g: StrictDigraph, cond: Condensation, pairs: list[Edge]
 ) -> tuple[Edge, ...] | None:
-    """First strong added-edge set in size-then-lexicographic order."""
+    """First strong added-edge set in size-then-lexicographic order, given
+    the condensation cond of g and the non-adjacent pairs of g."""
+    if cond.r == 1:
+        return ()
     full = (1 << g.n) - 1
     candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
     count = len(candidates)

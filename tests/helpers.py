@@ -9,11 +9,13 @@ implementations the library's docstrings point to.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from random import Random
 
 from strongext import (
     BudgetError,
+    Condensation,
     DiceSet,
     DicutCertificate,
     ExtensionPlan,
@@ -77,6 +79,139 @@ def weak_components(g: StrictDigraph) -> tuple[tuple[int, ...], ...]:
                     stack.append(w)
         blocks.append(tuple(sorted(block)))
     return tuple(blocks)
+
+
+def _oracle_tarjan(n: int, adj: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan strongly connected components, resuming each vertex
+    by the index of its next neighbour."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return sccs
+
+
+def _union_find_roots(k: int, pairs) -> list[int]:
+    """Root of each of k items after joining every pair; a root is the
+    smallest item of its class."""
+    parent = list(range(k))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(a) for a in range(k)]
+
+
+def oracle_strong_components(g: StrictDigraph) -> Condensation:
+    """The condensation by separate passes: Tarjan on sorted adjacency
+    lists, a second walk over the edges for the quotient, a heap for the
+    numbering, and union-find over the quotient edges for weak components.
+    The reference that the library's single-pass condensation must match
+    field for field."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+    raw = _oracle_tarjan(g.n, adj)
+    raw_of = [0] * g.n
+    for i, comp in enumerate(raw):
+        for v in comp:
+            raw_of[v] = i
+    k = len(raw)
+    succ: list[set[int]] = [set() for _ in range(k)]
+    for u, v in g.edges:
+        a, b = raw_of[u], raw_of[v]
+        if a != b:
+            succ[a].add(b)
+    indeg = [0] * k
+    for targets in succ:
+        for b in targets:
+            indeg[b] += 1
+    heap = [min(raw[i]) for i in range(k) if indeg[i] == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        i = raw_of[heapq.heappop(heap)]
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, min(raw[j]))
+    new_id = [0] * k
+    for pos, i in enumerate(order):
+        new_id[i] = pos
+    component_of = tuple(new_id[raw_of[v]] for v in range(g.n))
+    quotient = frozenset((new_id[a], new_id[b]) for a in range(k) for b in succ[a])
+    successors: list[set[int]] = [set() for _ in range(k)]
+    for a, b in quotient:
+        successors[a].add(b)
+    has_in = {b for _, b in quotient}
+    has_out = {a for a, _ in quotient}
+    roots = _union_find_roots(k, quotient)
+    wid_of_root: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    for v in range(g.n):
+        root = roots[component_of[v]]
+        if root not in wid_of_root:
+            wid_of_root[root] = len(blocks)
+            blocks.append([])
+        blocks[wid_of_root[root]].append(v)
+    groups: list[list[int]] = [[] for _ in blocks]
+    for cid in range(k):
+        groups[wid_of_root[roots[cid]]].append(cid)
+    return Condensation(
+        component_of=component_of,
+        components=tuple(tuple(sorted(raw[i])) for i in order),
+        successors=tuple(map(frozenset, successors)),
+        source_components=frozenset(i for i in range(k) if i not in has_in),
+        sink_components=frozenset(i for i in range(k) if i not in has_out),
+        weak_components=tuple(tuple(block) for block in blocks),
+        weak_groups=tuple(tuple(group) for group in groups),
+    )
 
 
 def tournament_has_cycle(t: StrictDigraph) -> bool:

@@ -7,12 +7,28 @@ import sys
 import pytest
 
 import strongext
+from strongext import gen_bipartite_plus_isolated, serialize_edge_list
 from strongext.cli import build_parser, main
 
 PATH3 = "n 3\n0 1\n1 2\n"
 CYCLE3 = "n 3\n0 1\n1 2\n2 0\n"
 TT3 = "n 3\n0 1\n0 2\n1 2\n"
 ROCK_PAPER = "1 5 9\n3 4 8\n2 6 7\n"
+
+
+def count_calls(monkeypatch, name: str, *modules: str) -> list[str]:
+    """Wrap the function ``name`` in each module; the returned list gets
+    one entry per call through any of them."""
+    calls: list[str] = []
+    original = getattr(sys.modules[modules[0]], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(sys.modules[module], name, counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -90,6 +106,19 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["verdict"] == "strongly-connectable"
         assert len(payload["plan"]["added"]) == 20000
+
+    def test_condenses_once_inside_the_search_budget(
+        self, capsys, write, monkeypatch
+    ):
+        # the exact search reuses the report's condensation
+        calls = count_calls(
+            monkeypatch, "strong_components", "strongext.cli", "strongext.extend"
+        )
+        text = serialize_edge_list(gen_bipartite_plus_isolated(2, 3))
+        code, out, _ = run(capsys, "analyze", write(text))
+        assert code == 0
+        assert "brute-min: 5\n" in out
+        assert calls == ["strong_components"]
 
     def test_json_dicut(self, capsys, write):
         code, out, _ = run(capsys, "analyze", write(TT3), "--json")
@@ -334,6 +363,15 @@ class TestDiceEval:
         code, out, _ = run(capsys, "dice", "eval", path)
         assert code == 0
         assert "- 199990000/400000000\n200010000/400000000 -\n" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_builds_one_win_matrix(self, capsys, write, monkeypatch, extra):
+        calls = count_calls(
+            monkeypatch, "win_matrix", "strongext.cli", "strongext.dice"
+        )
+        code, _, _ = run(capsys, "dice", "eval", write(ROCK_PAPER), *extra)
+        assert code == 0
+        assert calls == ["win_matrix"]
 
     def test_bad_dice_file(self, capsys, write):
         code, _, err = run(capsys, "dice", "eval", write("1 2\n2 3\n"))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from strongext import (
 )
 from strongext.digraph import _parse_lines
 
-from helpers import oracle_is_strong, weak_components
+from helpers import oracle_is_strong, oracle_strong_components, weak_components
 from strategies import strict_digraphs
 
 PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
@@ -74,6 +75,10 @@ class TestStrictDigraph:
     def test_with_edges_rejects_each_invalid_extra(self, extra, message):
         with pytest.raises(ValueError, match=message):
             PATH3.with_edges(extra)
+
+    def test_with_edges_nothing_to_add_returns_self(self):
+        assert PATH3.with_edges([]) is PATH3
+        assert PATH3.with_edges(iter(())) is PATH3
 
     def test_with_edges_matches_construction(self):
         g = PATH3.with_edges([(2, 0), (2, 0)])
@@ -410,6 +415,74 @@ class TestIsStrong:
                 answers.add(is_strong(g))
                 assert is_strong(g) == (strong_components(g).r == 1)
         assert answers == ({False} if cut else {False, True})
+
+
+def assert_matches_oracle(g: StrictDigraph):
+    cond, oracle = strong_components(g), oracle_strong_components(g)
+    for field in dataclasses.fields(cond):
+        assert getattr(cond, field.name) == getattr(oracle, field.name), field.name
+    assert cond.quotient_edges == oracle.quotient_edges
+
+
+class TestCondensationMatchesOracle:
+    """The single-pass condensation against separate passes over the edges,
+    field for field, numbering included."""
+
+    @given(strict_digraphs(max_n=10))
+    def test_random(self, g):
+        assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny(self, n):
+        assert_matches_oracle(StrictDigraph(n, frozenset()))
+
+    def test_strong_tournament(self):
+        rng = Random(3)
+        g = _random_with_cut(rng, 156, 1.0, False)
+        while not is_strong(g):
+            g = _random_with_cut(rng, 156, 1.0, False)
+        assert strong_components(g).r == 1
+        assert_matches_oracle(g)
+
+    def test_edgeless(self):
+        g = StrictDigraph(2000, frozenset())
+        assert strong_components(g).c == 2000
+        assert_matches_oracle(g)
+
+    def test_long_path_does_not_recurse(self):
+        # 20 000 nested visits, far past the interpreter's recursion limit,
+        # in Tarjan and in the weak-component search alike
+        n = 20_000
+        g = StrictDigraph(n, frozenset((v, v + 1) for v in range(n - 1)))
+        cond = strong_components(g)
+        assert (cond.r, cond.s, cond.t, cond.c) == (n, 1, 1, 1)
+        assert_matches_oracle(g)
+
+    def test_mixed_components(self):
+        # strong blobs joined into a few weak components, relabelled
+        rng = Random(5)
+        for _ in range(20):
+            n = rng.randint(10, 60)
+            g = StrictDigraph(n, _relabelled_blobs(rng, n))
+            assert_matches_oracle(g)
+
+
+def _relabelled_blobs(rng: Random, n: int) -> frozenset:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = set()
+    start = 0
+    while start < n:
+        size = min(n - start, rng.randint(1, 6))
+        block = perm[start : start + size]
+        if size > 2:
+            edges.update(zip(block, block[1:] + block[:1]))
+        start += size
+    for _ in range(n // 2):
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in edges and (u, v) not in edges:
+            edges.add((u, v))
+    return frozenset(edges)
 
 
 class TestWeakComponents:
