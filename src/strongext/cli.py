@@ -142,7 +142,7 @@ def _summary_dict(cond: Condensation) -> dict:
 
 def _plan_dict(plan: ExtensionPlan) -> dict:
     return {
-        "added": [list(e) for e in plan.added],
+        "added": plan.added,
         "resulting": _graph_dict(plan.resulting),
     }
 
@@ -154,7 +154,7 @@ def _plan_text(plan: ExtensionPlan) -> str:
 
 
 def _graph_dict(g: StrictDigraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
+    return {"n": g.n, "edges": g.sorted_edges()}
 
 
 def _bounds_dict(report: BoundsReport) -> dict:
@@ -308,7 +308,7 @@ def cmd_dice_eval(args) -> int:
     beats = _beats_from(m, args.direction)
     if args.json:
         payload = {
-            "dice": [list(die) for die in d.dice],
+            "dice": d.dice,
             "sides": d.sides,
             "win_counts": [
                 [None if i == j else m.counts[i][j] for j in range(d.count)]
@@ -351,7 +351,7 @@ def cmd_dice_realize(args) -> int:
         _, p = is_balanced(found)
         if args.json:
             payload = {
-                "dice": [list(die) for die in found.dice],
+                "dice": found.dice,
                 "p": str(p),
                 "direction": args.direction,
             }

@@ -204,7 +204,7 @@ def realizes(d: DiceSet, h: StrictDigraph, direction: str = WINNER_TO_LOSER) -> 
         raise InvalidDiceError(
             f"target has {h.n} vertices but the set has {d.count} dice"
         )
-    return h.edges <= beats_digraph(d, direction).edges
+    return all(map(beats_digraph(d, direction).has_edge, *h._columns))
 
 
 def _over_budget(n: int, k: int) -> bool:
@@ -264,12 +264,7 @@ def search_balanced_realization(
     # every pair must end at one common P > total / 2 wins for its winner
     least = total // 2 + 1
     # beaten[i] lists the dice that h needs die i to beat
-    beaten: list[list[int]] = [[] for _ in range(n)]
-    for u, v in h.edges:
-        if direction == WINNER_TO_LOSER:
-            beaten[u].append(v)
-        else:
-            beaten[v].append(u)
+    beaten = h._out_lists if direction == WINNER_TO_LOSER else h._in_lists
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     dice: list[list[int]] = [[] for _ in range(n)]
     wins = [[0] * n for _ in range(n)]

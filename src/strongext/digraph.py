@@ -7,11 +7,12 @@ one edge per unordered vertex pair.  Vertices are dense indices 0..n-1.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, islice
-from operator import itemgetter, not_
+from itertools import chain, compress, islice, repeat
+from operator import add, floordiv, itemgetter, mod, mul, not_
 
 from .errors import ParseError
 
@@ -22,53 +23,109 @@ Edge = tuple[int, int]
 MAX_VERTICES = 1_000_000
 
 
-@dataclass(frozen=True)
+def _encode(n: int, tails, heads):
+    """Codes u * n + v of the edges (u, v) with u from tails and v from heads."""
+    return map(add, map(mul, tails, repeat(n)), heads)
+
+
 class StrictDigraph:
-    """Immutable strict digraph; invalid edge sets are rejected on construction."""
+    """Immutable strict digraph; invalid edge sets are rejected on construction.
 
-    n: int
-    edges: frozenset[Edge] = frozenset()
+    The edge set is held as the frozenset of codes u * n + v, one per edge
+    (u, v), with the edges' tails and heads as two parallel columns.  The
+    frozenset of (u, v) tuples, ``edges``, is built on first access.  Two
+    digraphs are equal when they have the same n and the same edges.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge] = frozenset()):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (v, u) in self.edges:
-                raise ValueError(f"antiparallel pair between {u} and {v}")
+        pairs = frozenset(edges)
+        tails = [u for u, _ in pairs]
+        heads = [v for _, v in pairs]
+        valid = not pairs or (
+            0 <= min(tails)
+            and max(tails) < n
+            and 0 <= min(heads)
+            and max(heads) < n
+        )
+        # a loop (v, v) is its own reverse, so one disjointness test rejects
+        # loops and antiparallel pairs alike
+        if not valid or not pairs.isdisjoint(zip(heads, tails)):
+            _reject(n, pairs)
+        # in range, distinct edges have distinct codes
+        self._init(n, frozenset(_encode(n, tails, heads)), tails, heads)
+
+    def _init(
+        self, n: int, codes: frozenset[int], tails: list[int], heads: list[int]
+    ):
+        # past __setattr__, which refuses every assignment
+        vars(self).update(n=n, _codes=codes, _tails=tails, _heads=heads)
 
     @classmethod
-    def _trusted(cls, n: int, edges: frozenset[Edge]) -> StrictDigraph:
-        """Digraph from edges the caller has already validated."""
+    def _trusted(
+        cls, n: int, codes: frozenset[int], tails: list[int], heads: list[int]
+    ) -> StrictDigraph:
+        """Digraph from validated codes and their columns, one entry per
+        edge; the caller hands the lists over and must not modify them."""
         result = object.__new__(cls)
-        object.__setattr__(result, "n", n)
-        object.__setattr__(result, "edges", edges)
+        result._init(n, codes, tails, heads)
         return result
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: StrictDigraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: StrictDigraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self._codes == other._codes
+
+    def __hash__(self):
+        return hash((self.n, self._codes))
+
+    def __repr__(self):
+        return f"StrictDigraph(n={self.n}, edges={self.sorted_edges()!r})"
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (u, v) tuples; built on first access."""
+        return frozenset(zip(self._tails, self._heads))
+
+    @property
+    def _columns(self) -> tuple[list[int], list[int]]:
+        """Tails and heads of the edges, in matching order, one entry per
+        edge; shared, so callers must not modify them."""
+        return self._tails, self._heads
 
     @cached_property
     def _out_lists(self) -> list[list[int]]:
         """Out-neighbours of each vertex, in no particular order; built on
         first use and shared by every later one, so callers must not modify
         them."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
+        return _neighbour_lists(self.n, self._tails, self._heads)
+
+    @cached_property
+    def _in_lists(self) -> list[list[int]]:
+        """In-neighbours of each vertex, as ``_out_lists`` has out-neighbours."""
+        return _neighbour_lists(self.n, self._heads, self._tails)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and u * n + v in self._codes
 
     def adjacent(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        n, codes = self.n, self._codes
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        return u * n + v in codes or v * n + u in codes
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(map(divmod, sorted(self._codes), repeat(self.n)))
 
-    def with_edges(self, extra) -> StrictDigraph:
+    def with_edges(self, extra: Iterable[Edge]) -> StrictDigraph:
         """New digraph with the extra edges added; duplicates are rejected.
 
         Only the extra edges are validated, since the existing ones already
@@ -78,29 +135,59 @@ class StrictDigraph:
         extra = list(extra)
         if not extra:
             return self
-        added = set(extra)
+        n, codes = self.n, self._codes
+        fresh = dict.fromkeys(extra)  # each extra edge once, in order
         for u, v in extra:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u * n + v in codes:
                 raise ValueError(f"edge ({u}, {v}) already present")
-            if (v, u) in self.edges or (v, u) in added:
+            if v * n + u in codes or (v, u) in fresh:
                 raise ValueError(f"antiparallel pair between {u} and {v}")
-        return StrictDigraph._trusted(self.n, self.edges | added)
-
-    def reverse(self) -> StrictDigraph:
-        return StrictDigraph(self.n, frozenset((v, u) for u, v in self.edges))
+        tails = [u for u, _ in fresh]
+        heads = [v for _, v in fresh]
+        return StrictDigraph._trusted(
+            n,
+            codes.union(_encode(n, tails, heads)),
+            self._tails + tails,
+            self._heads + heads,
+        )
 
     def nonadjacent_pairs(self) -> list[Edge]:
         """Unordered non-adjacent pairs (u, v) with u < v, in sorted order."""
+        n, codes = self.n, self._codes
         return [
             (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.adjacent(u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if u * n + v not in codes and v * n + u not in codes
         ]
+
+
+def _reject(n: int, pairs: frozenset[Edge]):
+    """Raise a ValueError naming an invalid edge of pairs."""
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if (v, u) in pairs:
+            raise ValueError(f"antiparallel pair between {u} and {v}")
+
+
+def _split(n: int, codes: frozenset[int]) -> tuple[list[int], list[int]]:
+    """Tail and head columns of the edges with these codes."""
+    return list(map(floordiv, codes, repeat(n))), list(map(mod, codes, repeat(n)))
+
+
+def _neighbour_lists(n: int, tails: list[int], heads: list[int]) -> list[list[int]]:
+    """For each vertex u, the heads of the edges with tail u."""
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(tails, heads):
+        lists[u].append(v)
+    return lists
 
 
 # Canonical edge-list text, as serialize_edge_list writes it: a header line
@@ -142,11 +229,15 @@ def parse_edge_list(text: str) -> StrictDigraph:
         return _parse_lines(text)
     del tokens
     tails, heads = ends[0::2], ends[1::2]
-    edges = frozenset(zip(tails, heads))
+    # a table of u * n, indexed like ids; a list, so a lookup makes no int
+    base = [u * n for u in range(size)]
+    codes = frozenset(map(add, map(base.__getitem__, tails), heads))
     # a loop (v, v) is its own reverse, so this also rejects loops
-    if not edges.isdisjoint(zip(heads, tails)):
+    if not codes.isdisjoint(map(add, map(base.__getitem__, heads), tails)):
         return _parse_lines(text)
-    return StrictDigraph._trusted(n, edges)
+    if len(codes) < len(tails):  # repeated edges: one column entry per edge
+        tails, heads = _split(n, codes)
+    return StrictDigraph._trusted(n, codes, tails, heads)
 
 
 def _parse_lines(text: str) -> StrictDigraph:
@@ -156,7 +247,9 @@ def _parse_lines(text: str) -> StrictDigraph:
     checking the edges again.
     """
     n = None
-    edges: set[Edge] = set()
+    codes: set[int] = set()
+    tails: list[int] = []
+    heads: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -186,12 +279,16 @@ def _parse_lines(text: str) -> StrictDigraph:
             raise ParseError(lineno, f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(lineno, f"vertex index out of range in edge {u} {v}")
-        if (v, u) in edges:
+        if v * n + u in codes:
             raise ParseError(lineno, f"antiparallel pair between {u} and {v}")
-        edges.add((u, v))
+        code = u * n + v
+        if code not in codes:
+            codes.add(code)
+            tails.append(u)
+            heads.append(v)
     if n is None:
         raise ParseError(1, "missing header 'n <N>'")
-    return StrictDigraph._trusted(n, frozenset(edges))
+    return StrictDigraph._trusted(n, frozenset(codes), tails, heads)
 
 
 def serialize_edge_list(g: StrictDigraph) -> str:
@@ -432,14 +529,7 @@ def is_strong(g: StrictDigraph) -> bool:
         return False
     if g.n == 1:
         return True
-    # reachability does not depend on neighbour order, so the lists are
-    # built in one unsorted pass
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    into: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        out[u].append(v)
-        into[v].append(u)
-    return _reaches_all(g.n, out, 0) and _reaches_all(g.n, into, 0)
+    return _reaches_all(g.n, g._out_lists, 0) and _reaches_all(g.n, g._in_lists, 0)
 
 
 def _reaches_all(n: int, adj: list[list[int]], start: int) -> bool:

@@ -221,12 +221,20 @@ def _extend_from(g: StrictDigraph, cond: Condensation) -> ExtensionPlan:
     if cond.c > 1 and all(len(group) == 1 for group in cond.weak_groups):
         added = _link_strong_components(cond)
         return ExtensionPlan(tuple(added), g.with_edges(added))
-    growth = _Growth(g, cond)
     added = []
     if cond.c > 1:
-        added = _link_weak_components(cond, growth.down)
-        for u, v in added:
-            growth.add_edge(u, v)
+        added = _link_weak_components(cond)
+        sources, sinks = cond.source_components, cond.sink_components
+        if all(
+            len(sources.intersection(group)) == 1 == len(sinks.intersection(group))
+            for group in cond.weak_groups
+        ):
+            # each weak component's one source reaches all of it and all of
+            # it reaches its one sink, so the cycle of links makes g strong
+            return ExtensionPlan(tuple(added), g.with_edges(added))
+    growth = _Growth(g, cond)
+    for u, v in added:
+        growth.add_edge(u, v)
     added += growth.grow()
     return ExtensionPlan(tuple(added), g.with_edges(added))
 
@@ -261,26 +269,29 @@ def _link_strong_components(cond: Condensation) -> list[Edge]:
     return [forward, backward]
 
 
-def _link_weak_components(cond: Condensation, down: list[int]) -> list[Edge]:
+def _link_weak_components(cond: Condensation) -> list[Edge]:
     """One edge from each weak component's chosen sink into the next's source.
 
     In each weak component the smallest-id source component is chosen; the
     exit point is that component itself when the weak component is strong,
-    otherwise the smallest-id sink component reachable from it.  ``down[cid]``
-    is the bitmask of the vertices reachable from component cid.
+    otherwise the smallest-id sink component reachable from it, found by a
+    search over the quotient.
     """
     entry: list[int] = []
     exits: list[int] = []
+    successors, sinks = cond.successors, cond.sink_components
     for group in cond.weak_groups:
         s_cid = next(cid for cid in group if cid in cond.source_components)
         t_cid = s_cid
         if len(group) > 1:
-            t_cid = next(
-                cid
-                for cid in group
-                if cid in cond.sink_components
-                and down[s_cid] >> cond.components[cid][0] & 1
-            )
+            reached = {s_cid}
+            stack = [s_cid]
+            while stack:
+                for b in successors[stack.pop()]:
+                    if b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+            t_cid = min(reached.intersection(sinks))
         entry.append(cond.components[s_cid][0])
         exits.append(cond.components[t_cid][0])
     k = len(entry)
@@ -347,7 +358,11 @@ def _matched_bound(g: StrictDigraph, cond: Condensation) -> int | None:
         return None
     xs = sorted(cond.components[cid][0] for cid in sources)
     ys = sorted(cond.components[cid][0] for cid in sinks)
-    candidates = {y: [x for x in xs if (x, y) not in g.edges] for y in ys}
+    into = g._in_lists
+    candidates = {}
+    for y in ys:
+        preds = set(into[y])
+        candidates[y] = [x for x in xs if x not in preds]
     return len(xs) + len(ys) - _max_matching(ys, candidates)
 
 
@@ -447,7 +462,8 @@ def brute_force_min_extension(
         return 0, ExtensionPlan((), g)
     if find_complete_dicut(g) is not None:
         return None
-    free = g.n * (g.n - 1) // 2 - len(g.edges)  # one edge per adjacent pair
+    # one edge per adjacent pair
+    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
     if free > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
         raise BudgetError(
             f"minimum-extension search supports at most "
@@ -495,7 +511,7 @@ def _min_extension_search(
     source_bits = (1 << cond.s) - 1
     out_mask = [0] * g.n
     in_mask = [0] * g.n
-    for u, v in g.edges:
+    for u, v in zip(*g._columns):
         out_mask[u] |= 1 << v
         in_mask[v] |= 1 << u
     used = [False] * len(pairs)
@@ -564,7 +580,7 @@ def hamiltonian_cycle_strong_tournament(t: StrictDigraph) -> list[int]:
     """
     if t.n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {t.n}")
-    if len(t.edges) != t.n * (t.n - 1) // 2:
+    if len(t._columns[0]) != t.n * (t.n - 1) // 2:
         raise NotTournamentError("every vertex pair must be adjacent")
     if not is_strong(t):
         raise NotStrongError("tournament is not strongly connected")

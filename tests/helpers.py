@@ -50,6 +50,11 @@ def _closure_masks(n: int, edges) -> list[int]:
     return reach
 
 
+def reverse(g: StrictDigraph) -> StrictDigraph:
+    """g with every edge turned around."""
+    return StrictDigraph(g.n, frozenset((v, u) for u, v in g.edges))
+
+
 def oracle_is_strong(g: StrictDigraph) -> bool:
     if g.n == 0:
         return False

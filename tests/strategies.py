@@ -10,7 +10,10 @@ from strongext import DiceSet, StrictDigraph
 
 
 @st.composite
-def strict_digraphs(draw, min_n: int = 0, max_n: int = 8) -> StrictDigraph:
+def strict_edge_sets(
+    draw, min_n: int = 0, max_n: int = 8
+) -> tuple[int, frozenset[tuple[int, int]]]:
+    """A vertex count n and the (u, v) tuples of a strict digraph on it."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     edges = set()
     for u, v in combinations(range(n), 2):
@@ -19,7 +22,11 @@ def strict_digraphs(draw, min_n: int = 0, max_n: int = 8) -> StrictDigraph:
             edges.add((u, v))
         elif state == 2:
             edges.add((v, u))
-    return StrictDigraph(n, frozenset(edges))
+    return n, frozenset(edges)
+
+
+def strict_digraphs(min_n: int = 0, max_n: int = 8):
+    return strict_edge_sets(min_n, max_n).map(lambda drawn: StrictDigraph(*drawn))
 
 
 @st.composite

@@ -107,6 +107,18 @@ class TestAnalyze:
         assert payload["verdict"] == "strongly-connectable"
         assert len(payload["plan"]["added"]) == 20000
 
+    def test_json_one_edge_large(self, capsys, write):
+        # 19 999 weak components, each with one source and one sink
+        # component: the links alone make the digraph strong
+        code, out, _ = run(capsys, "analyze", "--json", write("n 20000\n0 1\n"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "strongly-connectable"
+        added = payload["plan"]["added"]
+        assert len(added) == 19_999
+        assert added[:2] == [[1, 2], [2, 3]] and added[-1] == [19_999, 0]
+        assert len(payload["plan"]["resulting"]["edges"]) == 20_000
+
     def test_condenses_once_inside_the_search_budget(
         self, capsys, write, monkeypatch
     ):

@@ -13,15 +13,22 @@ from strongext import (
     MAX_VERTICES,
     ParseError,
     StrictDigraph,
+    find_complete_dicut,
     is_strong,
     parse_edge_list,
     serialize_edge_list,
     strong_components,
+    verify_complete_dicut,
 )
 from strongext.digraph import _parse_lines
 
-from helpers import oracle_is_strong, oracle_strong_components, weak_components
-from strategies import strict_digraphs
+from helpers import (
+    oracle_is_strong,
+    oracle_strong_components,
+    reverse,
+    weak_components,
+)
+from strategies import strict_digraphs, strict_edge_sets
 
 PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
 CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -86,11 +93,122 @@ class TestStrictDigraph:
         assert hash(g) == hash(CYCLE3) and g.n == 3
 
     def test_reverse(self):
-        assert PATH3.reverse().edges == frozenset({(1, 0), (2, 1)})
+        assert reverse(PATH3).edges == frozenset({(1, 0), (2, 1)})
 
     def test_nonadjacent_pairs(self):
         assert PATH3.nonadjacent_pairs() == [(0, 2)]
         assert CYCLE3.nonadjacent_pairs() == []
+
+
+def assert_matches_tuples(g: StrictDigraph, n: int, edges: frozenset):
+    """g against a plain tuple-set description of the digraph (n, edges)."""
+    assert g.n == n
+    assert g.edges == edges
+    assert g.sorted_edges() == sorted(edges)
+    assert sorted(zip(*g._columns)) == sorted(edges)  # one entry per edge
+    assert [sorted(out) for out in g._out_lists] == [
+        sorted(v for u, v in edges if u == x) for x in range(n)
+    ]
+    assert [sorted(into) for into in g._in_lists] == [
+        sorted(u for u, v in edges if v == x) for x in range(n)
+    ]
+    same = StrictDigraph(n, sorted(edges))
+    assert g == same and hash(g) == hash(same)
+    assert g != StrictDigraph(n + 1, edges)
+    for e in sorted(edges)[:3]:
+        assert g != StrictDigraph(n, edges - {e})
+    for u in range(n):
+        for v in range(n):
+            assert g.has_edge(u, v) == ((u, v) in edges)
+            assert g.adjacent(u, v) == ((u, v) in edges or (v, u) in edges)
+
+
+class TestCodedForm:
+    """Every way of building a digraph gives the same digraph as its tuple
+    set: equality, hash, edges, sorted edges and neighbour lists."""
+
+    @given(strict_edge_sets(), st.randoms(use_true_random=False))
+    def test_construction(self, drawn, rng):
+        n, edges = drawn
+        listed = sorted(edges) + rng.sample(sorted(edges), len(edges) // 2)
+        rng.shuffle(listed)
+        assert_matches_tuples(StrictDigraph(n, listed), n, edges)
+
+    @given(strict_edge_sets(), st.randoms(use_true_random=False))
+    def test_bulk_parse(self, drawn, rng):
+        n, edges = drawn
+        lines = [f"{u} {v}" for u, v in sorted(edges)]
+        lines += rng.sample(lines, len(lines) // 2)
+        rng.shuffle(lines)
+        text = f"n {n}\n" + "".join(f"{line}\n" for line in lines)
+        assert_matches_tuples(parse_edge_list(text), n, edges)
+
+    @given(strict_edge_sets(), st.randoms(use_true_random=False))
+    def test_line_parse(self, drawn, rng):
+        n, edges = drawn
+        lines = [f"{u} {v}" for u, v in sorted(edges)]
+        lines += rng.sample(lines, len(lines) // 2)
+        rng.shuffle(lines)
+        text = f"# g\nn {n}\n\n" + "\n".join(lines)
+        assert_matches_tuples(parse_edge_list(text), n, edges)
+        assert_matches_tuples(_parse_lines(text), n, edges)
+
+    @pytest.mark.parametrize("text", ["n 0\n", "n 1\n", "n 0", "n 1\n# none\n"])
+    def test_parse_tiny(self, text):
+        n = int(text.split()[1])
+        assert_matches_tuples(parse_edge_list(text), n, frozenset())
+        assert_matches_tuples(_parse_lines(text), n, frozenset())
+
+    @given(strict_edge_sets(), st.randoms(use_true_random=False))
+    def test_with_edges(self, drawn, rng):
+        n, edges = drawn
+        listed = sorted(edges)
+        rng.shuffle(listed)
+        cut = rng.randint(0, len(listed))
+        extra = listed[cut:] + rng.sample(listed[cut:], (len(listed) - cut) // 2)
+        g = StrictDigraph(n, listed[:cut]).with_edges(extra)
+        assert_matches_tuples(g, n, edges)
+        assert_matches_tuples(g.with_edges([]), n, edges)
+
+    @given(strict_digraphs(min_n=1))
+    def test_out_of_range_endpoints_are_not_edges(self, g):
+        n = g.n
+        for u in range(-n - 1, 2 * n + 1):
+            for v in range(-n - 1, 2 * n + 1):
+                if not (0 <= u < n and 0 <= v < n):
+                    assert not g.has_edge(u, v)
+                    assert not g.adjacent(u, v)
+
+    def test_out_of_range_code_does_not_alias(self):
+        # 0 * 2 + 2 and -1 * 2 + 3 are the code of (1, 0)
+        g = StrictDigraph(2, [(1, 0)])
+        assert g.has_edge(1, 0)
+        assert not g.has_edge(0, 2) and not g.adjacent(0, 2)
+        assert not g.has_edge(-1, 3) and not g.adjacent(3, -1)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PATH3.n = 4
+        with pytest.raises(AttributeError):
+            del PATH3.n
+        assert PATH3.n == 3
+
+
+class TestDecidePathKeepsCodes:
+    """Deciding and verifying on a parsed digraph never builds its tuple
+    view, the frozenset of (u, v) pairs."""
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_tournament(self, cut):
+        rng = Random(13)
+        g = parse_edge_list(serialize_edge_list(_random_with_cut(rng, 60, 1.0, cut)))
+        cert = find_complete_dicut(g)
+        assert (cert is not None) == cut
+        assert (strong_components(g).r == 1) == is_strong(g)
+        assert is_strong(g.with_edges([])) == is_strong(g)
+        if cert is not None:
+            assert verify_complete_dicut(g, cert)
+        assert "edges" not in vars(g)
 
 
 class TestParse:
@@ -345,7 +463,7 @@ class TestStrongComponents:
     @given(strict_digraphs())
     def test_reversal_swaps_sources_and_sinks(self, g):
         cond = strong_components(g)
-        rev = strong_components(g.reverse())
+        rev = strong_components(reverse(g))
         assert rev.r == cond.r
         assert rev.c == cond.c
         assert {tuple(rev.components[cid]) for cid in rev.source_components} == {
