@@ -310,7 +310,8 @@ class Condensation:
     by smallest member.  Every quotient edge goes from a lower component id
     to a higher one.  ``successors[cid]`` holds the ids of the components
     that quotient edges from cid enter, and ``weak_groups[wid]`` the sorted
-    ids of the strong components inside weak component wid.
+    ids of the strong components inside weak component wid; its vertices
+    are those of these components, and are not listed separately.
     """
 
     component_of: tuple[int, ...]
@@ -318,7 +319,6 @@ class Condensation:
     successors: tuple[frozenset[int], ...]
     source_components: frozenset[int]
     sink_components: frozenset[int]
-    weak_components: tuple[tuple[int, ...], ...]
     weak_groups: tuple[tuple[int, ...], ...]
 
     @property
@@ -346,7 +346,7 @@ class Condensation:
     @property
     def c(self) -> int:
         """Number of weak components."""
-        return len(self.weak_components)
+        return len(self.weak_groups)
 
     @property
     def c_prime(self) -> int:
@@ -490,12 +490,10 @@ def strong_components(g: StrictDigraph) -> Condensation:
         for b in targets:
             neighbours[b].append(a)
     weak_of = [-1] * k
-    blocks: list[tuple[int, ...]] = []
     groups: list[tuple[int, ...]] = []
     firsts = sorted(map(itemgetter(0), components))
     for start in map(component_of.__getitem__, firsts):
         if not neighbours[start]:  # no quotient edge: a weak component of its own
-            blocks.append(components[start])
             groups.append((start,))
             continue
         if weak_of[start] >= 0:
@@ -508,9 +506,6 @@ def strong_components(g: StrictDigraph) -> Condensation:
                     weak_of[other] = weak_of[start]
                     group.append(other)
         group.sort()
-        blocks.append(
-            tuple(sorted(chain.from_iterable(map(components.__getitem__, group))))
-        )
         groups.append(tuple(group))
     return Condensation(
         component_of=component_of,
@@ -518,7 +513,6 @@ def strong_components(g: StrictDigraph) -> Condensation:
         successors=successors,
         source_components=frozenset(map(renumber, raw_sources)),
         sink_components=frozenset(compress(range(k), map(not_, successors))),
-        weak_components=tuple(blocks),
         weak_groups=tuple(groups),
     )
 

@@ -19,6 +19,7 @@ from .digraph import (
     Condensation,
     Edge,
     StrictDigraph,
+    _tarjan_sccs,
     is_strong,
     strong_components,
 )
@@ -74,43 +75,47 @@ def _require_no_complete_dicut(g: StrictDigraph):
 
 
 class _Growth:
-    """The condensation of a digraph, kept up to date as edges are added.
+    """The condensation of g plus the links, kept up to date as edges are
+    added; built by condensing g's quotient with the links added to it.
 
-    ``label[v]`` is the live component holding vertex v, named by one of
-    the initial condensation's ids.  Every live component keeps its vertex
-    list and, as vertex bitmasks, its members, everything it reaches
-    (``down``) and everything that reaches it (``up``), both including
-    itself; ``sources`` holds the vertices of the source components.  A
-    merge keeps the largest component's id and relabels the other vertices,
-    so a vertex is relabelled only when its component at least doubles.
-    Adding an edge walks the masks of the components whose reach it grows
-    and of those it merges, each component once per mask.
+    ``label[v]`` is the live component holding vertex v.  Every live
+    component keeps its vertex list and, as vertex bitmasks, its members,
+    everything it reaches (``down``) and everything that reaches it
+    (``up``), both including itself; ``sources`` holds the vertices of the
+    source components.  A merge keeps the largest component's id and
+    relabels the other vertices, so a vertex is relabelled only when its
+    component at least doubles.  Adding an edge walks the masks of the
+    components whose reach it grows and of those it merges, each component
+    once per mask.
     """
 
-    def __init__(self, g: StrictDigraph, cond: Condensation):
-        r = cond.r
+    def __init__(self, g: StrictDigraph, cond: Condensation, links: list[Edge]):
+        quotient = list(cond.successors)
+        of = cond.component_of
+        for u, v in links:
+            quotient[of[u]] |= {of[v]}
+        of_cid, groups, successors = _tarjan_sccs(cond.r, quotient)
         self.all_vertices = (1 << g.n) - 1
-        self.label = list(cond.component_of)
-        self.vertices = list(map(list, cond.components))
-        self.live = r
-        self.members = [sum(1 << v for v in comp) for comp in cond.components]
-        successors = cond.successors
-        # quotient edges go from lower to higher ids
+        self.label = list(map(of_cid.__getitem__, of))
+        components = cond.components
+        self.vertices = [[v for q in group for v in components[q]] for group in groups]
+        self.live = len(groups)
+        self.members = [sum(1 << v for v in comp) for comp in self.vertices]
+        # Tarjan numbers components so that quotient edges go to lower ids
         down = self.members[:]
-        for cid in range(r - 1, -1, -1):
+        for cid, targets in enumerate(successors):
             mask = down[cid]
-            for b in successors[cid]:
+            for b in targets:
                 mask |= down[b]
             down[cid] = mask
         up = self.members[:]
-        for cid in range(r):
+        for cid in range(self.live - 1, -1, -1):
             mask = up[cid]
             for b in successors[cid]:
                 up[b] |= mask
         self.down, self.up = down, up
-        self.sources = 0
-        for cid in cond.source_components:
-            self.sources |= self.members[cid]
+        # members are disjoint, so their sum is their union
+        self.sources = sum(m for m, reach in zip(self.members, up) if reach == m)
         self.out_lists = g._out_lists
         self.out_masks: dict[int, int] = {}
 
@@ -218,24 +223,15 @@ def _extend_from(g: StrictDigraph, cond: Condensation) -> ExtensionPlan:
     """Strong extension of a connectable digraph g with condensation cond."""
     if cond.r == 1:
         return ExtensionPlan((), g)
-    if cond.c > 1 and all(len(group) == 1 for group in cond.weak_groups):
-        added = _link_strong_components(cond)
-        return ExtensionPlan(tuple(added), g.with_edges(added))
     added = []
     if cond.c > 1:
         added = _link_weak_components(cond)
-        sources, sinks = cond.source_components, cond.sink_components
-        if all(
-            len(sources.intersection(group)) == 1 == len(sinks.intersection(group))
-            for group in cond.weak_groups
-        ):
-            # each weak component's one source reaches all of it and all of
-            # it reaches its one sink, so the cycle of links makes g strong
+        if cond.s == cond.t == cond.c:
+            # every weak component has a source and a sink component, so
+            # here exactly one of each: its source reaches all of it and all
+            # of it reaches its sink, so the cycle of links makes g strong
             return ExtensionPlan(tuple(added), g.with_edges(added))
-    growth = _Growth(g, cond)
-    for u, v in added:
-        growth.add_edge(u, v)
-    added += growth.grow()
+    added += _Growth(g, cond, added).grow()
     return ExtensionPlan(tuple(added), g.with_edges(added))
 
 
@@ -243,8 +239,10 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     """Strong extension of any strongly connectable digraph, at most r edges.
 
     Exactly r edges are used only when g is disconnected with every weak
-    component strong; otherwise at most r - 1.  The input is condensed once;
-    the construction then merges components as it adds edges and builds the
+    component strong; otherwise at most r - 1.  The input is condensed once.
+    A disconnected input is first linked into one cycle of its weak
+    components; the construction then grows from the condensation of the
+    linked digraph, merging components as it adds edges, and builds the
     resulting digraph at the end.
     """
     _require_order(g)
@@ -252,37 +250,21 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     return _extend_from(g, strong_components(g))
 
 
-def _link_strong_components(cond: Condensation) -> list[Edge]:
-    """Join c strong weak components with exactly c new edges."""
-    blocks = cond.weak_components
-    k = len(blocks)
-    if k > 2:
-        reps = [block[0] for block in blocks]
-        return [(reps[i], reps[(i + 1) % k]) for i in range(k)]
-    first, second = blocks
-    forward = (first[0], second[0])
-    # the return edge must use a different vertex pair; n >= 3 guarantees one
-    if len(second) >= 2:
-        backward = (second[1], first[0])
-    else:
-        backward = (second[0], first[1])
-    return [forward, backward]
-
-
 def _link_weak_components(cond: Condensation) -> list[Edge]:
     """One edge from each weak component's chosen sink into the next's source.
 
-    In each weak component the smallest-id source component is chosen; the
-    exit point is that component itself when the weak component is strong,
-    otherwise the smallest-id sink component reachable from it, found by a
-    search over the quotient.
+    In each weak component the smallest-id component is chosen, a source
+    since quotient edges go to higher ids; the exit point is that component
+    itself when the weak component is strong, otherwise the smallest-id sink
+    component reachable from it, found by a search over the quotient.  Two
+    strong weak components would be joined twice over one pair, so the
+    return edge then uses another vertex of one; n >= 3 guarantees one.
     """
     entry: list[int] = []
     exits: list[int] = []
     successors, sinks = cond.successors, cond.sink_components
     for group in cond.weak_groups:
-        s_cid = next(cid for cid in group if cid in cond.source_components)
-        t_cid = s_cid
+        s_cid = t_cid = group[0]
         if len(group) > 1:
             reached = {s_cid}
             stack = [s_cid]
@@ -296,8 +278,9 @@ def _link_weak_components(cond: Condensation) -> list[Edge]:
         exits.append(cond.components[t_cid][0])
     k = len(entry)
     edges = [(exits[i], entry[(i + 1) % k]) for i in range(k)]
-    if k == 2 and set(edges[0]) == set(edges[1]):
-        raise AssertionError("both linking edges join the same vertex pair")
+    if k == 2 and edges[1] == edges[0][::-1]:
+        first, second = (cond.components[cid] for (cid,) in cond.weak_groups)
+        edges[1] = (second[1], first[0]) if len(second) > 1 else (second[0], first[1])
     return edges
 
 
@@ -369,13 +352,21 @@ def _matched_bound(g: StrictDigraph, cond: Condensation) -> int | None:
 def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
     """Maximum bipartite matching size by augmenting paths.
 
-    Each left vertex in turn starts a depth-first search for an augmenting
-    path.  The search keeps its path on explicit stacks, so the path length
-    is not limited by the recursion depth.
+    A first pass matches each left vertex to its first free candidate.
+    Each left vertex it leaves unmatched then starts a depth-first search
+    for an augmenting path; a vertex with none has none after later
+    augmentations either.  The search keeps its path on explicit stacks, so
+    the path length is not limited by the recursion depth.
     """
     matched: dict[int, int] = {}
-    size = 0
-    for root in left:
+    roots = []
+    for u in left:
+        v = next((v for v in adj[u] if v not in matched), None)
+        if v is None:
+            roots.append(u)
+        else:
+            matched[v] = u
+    for root in roots:
         seen: set[int] = set()
         # lefts[i][0] is entered through rights[i - 1]; lefts[i][1] holds
         # its untried candidates
@@ -392,10 +383,9 @@ def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
             if v not in matched:
                 for (u, _), w in zip(lefts, rights):
                     matched[w] = u
-                size += 1
                 break
             lefts.append((matched[v], iter(adj[matched[v]])))
-    return size
+    return len(matched)
 
 
 def _best_cyclic_bound(per_weak: list[tuple[int, int]]) -> int:

@@ -198,14 +198,11 @@ def oracle_strong_components(g: StrictDigraph) -> Condensation:
     has_out = {a for a, _ in quotient}
     roots = _union_find_roots(k, quotient)
     wid_of_root: dict[int, int] = {}
-    blocks: list[list[int]] = []
     for v in range(g.n):
         root = roots[component_of[v]]
         if root not in wid_of_root:
-            wid_of_root[root] = len(blocks)
-            blocks.append([])
-        blocks[wid_of_root[root]].append(v)
-    groups: list[list[int]] = [[] for _ in blocks]
+            wid_of_root[root] = len(wid_of_root)
+    groups: list[list[int]] = [[] for _ in wid_of_root]
     for cid in range(k):
         groups[wid_of_root[roots[cid]]].append(cid)
     return Condensation(
@@ -214,7 +211,6 @@ def oracle_strong_components(g: StrictDigraph) -> Condensation:
         successors=tuple(map(frozenset, successors)),
         source_components=frozenset(i for i in range(k) if i not in has_in),
         sink_components=frozenset(i for i in range(k) if i not in has_out),
-        weak_components=tuple(tuple(block) for block in blocks),
         weak_groups=tuple(tuple(group) for group in groups),
     )
 
@@ -579,7 +575,10 @@ def _oracle_step(g: StrictDigraph, cond) -> list[tuple[int, int]]:
 
 
 def _oracle_link_strong(cond) -> list[tuple[int, int]]:
-    blocks = cond.weak_components
+    blocks = [
+        sorted(v for cid in group for v in cond.components[cid])
+        for group in cond.weak_groups
+    ]
     k = len(blocks)
     if k > 2:
         reps = [block[0] for block in blocks]

@@ -7,7 +7,12 @@ import sys
 import pytest
 
 import strongext
-from strongext import gen_bipartite_plus_isolated, serialize_edge_list
+from strongext import (
+    StrictDigraph,
+    gen_bipartite_plus_isolated,
+    is_strong,
+    serialize_edge_list,
+)
 from strongext.cli import build_parser, main
 
 PATH3 = "n 3\n0 1\n1 2\n"
@@ -118,6 +123,19 @@ class TestAnalyze:
         assert len(added) == 19_999
         assert added[:2] == [[1, 2], [2, 3]] and added[-1] == [19_999, 0]
         assert len(payload["plan"]["resulting"]["edges"]) == 20_000
+
+    def test_json_one_edge_two_sources_large(self, capsys, write):
+        # vertex 2's source stays outside the cycle of links, so growth
+        # runs, starting from the condensation of the linked digraph
+        code, out, _ = run(
+            capsys, "analyze", "--json", write("n 20000\n0 1\n2 1\n")
+        )
+        assert code == 0
+        plan = json.loads(out)["plan"]
+        assert len(plan["added"]) == 19_999
+        resulting = plan["resulting"]
+        g = StrictDigraph(resulting["n"], map(tuple, resulting["edges"]))
+        assert is_strong(g)
 
     def test_condenses_once_inside_the_search_budget(
         self, capsys, write, monkeypatch

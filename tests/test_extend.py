@@ -25,12 +25,14 @@ from strongext import (
     gen_tt_minus_path,
     hamiltonian_cycle_strong_tournament,
     is_strong,
+    parse_edge_list,
     strong_components,
 )
 
 from strongext.extend import (
     MIN_EXTENSION_PAIR_BUDGET,
     _best_cyclic_bound,
+    _Growth,
     _max_matching,
 )
 
@@ -248,9 +250,35 @@ class TestExtendMatchesOracle:
             gen_tt_minus_path(7),
             gen_bipartite_plus_isolated(2, 3),
             gen_disjoint_cycles(4, 3),
+            # the links merge only part of a weak component: a second
+            # source, a second sink, or both stay outside the linked cycle
+            parse_edge_list("n 12\n0 1\n2 1\n"),
+            StrictDigraph(6, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 3)]),
+            StrictDigraph(
+                9,
+                gen_bipartite_plus_isolated(2, 3).edges
+                | {(6 + u, 6 + v) for u, v in gen_disjoint_cycles(3, 1).edges},
+            ),
         ]
         for g in cases:
             assert_matches_oracle(g)
+
+    def test_links_feed_the_growth_state_at_once(self, monkeypatch):
+        # 198 links leave vertex 2's source outside the cycle; growth
+        # starts from the linked condensation and adds the closing edges
+        calls = []
+        original = _Growth.add_edge
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(_Growth, "add_edge", counted)
+        g = parse_edge_list("n 200\n0 1\n2 1\n")
+        plan = extend(g)
+        assert len(calls) <= 2
+        assert len(plan.added) == 198 + len(calls)
+        assert is_strong(plan.resulting)
 
     def test_seeded_corpus(self):
         corpus = oracle_corpus()
@@ -492,6 +520,14 @@ class TestMatchingBound:
             ),
         )
         assert bounds(g, brute=False).lower_matched == size
+
+    def test_sparse_perfect_matching(self):
+        # edges i -> i + h only: each sink's candidates are every source
+        # but its own, so a greedy first pass leaves almost nothing to
+        # augment; an augmenting search from every sink is cubic here
+        h = 2000
+        g = StrictDigraph(2 * h, [(i, i + h) for i in range(h)])
+        assert bounds(g, brute=False).lower_matched == h
 
     def test_sound_on_random_bipartite(self):
         rng = Random(4217)
