@@ -125,7 +125,7 @@ def analyze(g: StrictDigraph) -> AnalysisReport:
         VERDICT_CONNECTABLE,
         summary=cond,
         plan=_extend_from(g, cond),
-        bounds_report=_bounds_from(g, cond, brute=True),
+        bounds_report=_bounds_from(g, cond),
     )
 
 
@@ -158,14 +158,7 @@ def _graph_dict(g: StrictDigraph) -> dict:
 
 
 def _bounds_dict(report: BoundsReport) -> dict:
-    return {
-        "lower": report.lower,
-        "lower_matched": report.lower_matched,
-        "upper_theorem": report.upper_theorem,
-        "upper_cyclic": report.upper_cyclic,
-        "upper_prop": report.upper_prop,
-        "brute_min": report.brute_min,
-    }
+    return dict(vars(report))  # the fields, in their declared order
 
 
 def _key_lines(payload: dict) -> str:
@@ -271,11 +264,9 @@ def cmd_extend(args) -> int:
     if args.minimize:
         result = brute_force_min_extension(g)
         if result is None:
-            cert = find_complete_dicut(g)
-            if cert is None:
-                raise AssertionError("no strong extension of a dicut-free digraph")
+            # brute_force_min_extension returns None only on a complete dicut
             print("no strong extension exists")
-            print(format_certificate(cert))
+            print(format_certificate(find_complete_dicut(g)))
             return 1
         minimum, plan = result
         if args.json:

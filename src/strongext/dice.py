@@ -247,7 +247,7 @@ def search_balanced_realization(
     in [wins[i][j] + (k - |die i|)·|die j|, wins[i][j] + (k - |die i|)·k].
     A partial deal is abandoned as soon as no completion inside those ranges
     can be accepted, which leaves the order of the accepted deals, and so
-    the first hit, unchanged.
+    the first hit, unchanged.  One-face dice are answered with None at once.
     """
     if h.n < 3:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
@@ -260,6 +260,8 @@ def search_balanced_realization(
             f"dealing {h.n} dice of {k} faces has more than "
             f"{SEARCH_BUDGET} complete deals, the search budget"
         )
+    if k == 1:  # one-face dice are totally ordered: no beats cycle
+        return None
     n, total = h.n, k * k
     # every pair must end at one common P > total / 2 wins for its winner
     least = total // 2 + 1

@@ -12,6 +12,7 @@ in the test suite's ``tests/helpers.py``, not here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .dicut import find_complete_dicut
@@ -76,7 +77,7 @@ def _require_no_complete_dicut(g: StrictDigraph):
 
 class _Growth:
     """The condensation of g plus the links, kept up to date as edges are
-    added; built by condensing g's quotient with the links added to it.
+    added; built from g's condensation, condensed again with any links.
 
     ``label[v]`` is the live component holding vertex v.  Every live
     component keeps its vertex list and, as vertex bitmasks, its members,
@@ -90,26 +91,32 @@ class _Growth:
     """
 
     def __init__(self, g: StrictDigraph, cond: Condensation, links: list[Edge]):
-        quotient = list(cond.successors)
-        of = cond.component_of
-        for u, v in links:
-            quotient[of[u]] |= {of[v]}
-        of_cid, groups, successors = _tarjan_sccs(cond.r, quotient)
+        if links:
+            quotient = list(cond.successors)
+            for u, v in links:
+                quotient[cond.component_of[u]] |= {cond.component_of[v]}
+            # Tarjan numbers components so that quotient edges go to lower ids
+            of_cid, groups, successors = _tarjan_sccs(cond.r, quotient)
+            order = range(len(groups))
+        else:
+            # g's own components, whose quotient edges go to higher ids
+            of_cid, groups = range(cond.r), [(cid,) for cid in range(cond.r)]
+            successors, order = cond.successors, range(cond.r - 1, -1, -1)
         self.all_vertices = (1 << g.n) - 1
-        self.label = list(map(of_cid.__getitem__, of))
+        self.label = list(map(of_cid.__getitem__, cond.component_of))
         components = cond.components
         self.vertices = [[v for q in group for v in components[q]] for group in groups]
         self.live = len(groups)
         self.members = [sum(1 << v for v in comp) for comp in self.vertices]
-        # Tarjan numbers components so that quotient edges go to lower ids
+        # order lists every component after its successors
         down = self.members[:]
-        for cid, targets in enumerate(successors):
+        for cid in order:
             mask = down[cid]
-            for b in targets:
+            for b in successors[cid]:
                 mask |= down[b]
             down[cid] = mask
         up = self.members[:]
-        for cid in range(self.live - 1, -1, -1):
+        for cid in reversed(order):
             mask = up[cid]
             for b in successors[cid]:
                 up[b] |= mask
@@ -284,17 +291,15 @@ def _link_weak_components(cond: Condensation) -> list[Edge]:
     return edges
 
 
-def bounds(g: StrictDigraph, *, brute: bool = True) -> BoundsReport:
-    """Bounds on the minimum extension size of a connectable digraph.
-
-    ``brute=False`` skips the exact search even when its budget would allow it.
-    """
+def bounds(g: StrictDigraph) -> BoundsReport:
+    """Bounds on the minimum extension size of a connectable digraph, with
+    the exact minimum whenever the search budget allows it."""
     _require_order(g)
     _require_no_complete_dicut(g)
-    return _bounds_from(g, strong_components(g), brute)
+    return _bounds_from(g, strong_components(g))
 
 
-def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsReport:
+def _bounds_from(g: StrictDigraph, cond: Condensation) -> BoundsReport:
     """Bounds for a connectable digraph g with condensation cond."""
     lower = max(cond.s, cond.t) if cond.r > 1 else 0
     all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
@@ -310,13 +315,8 @@ def _bounds_from(g: StrictDigraph, cond: Condensation, brute: bool) -> BoundsRep
         )
         upper_prop = cond.s + cond.t - cond.c
     brute_min = None
-    if brute and g.n <= MIN_EXTENSION_VERTEX_BUDGET:
-        pairs = g.nonadjacent_pairs()
-        if len(pairs) <= MIN_EXTENSION_PAIR_BUDGET:
-            combo = _min_extension_search(g, cond, pairs)
-            if combo is None:
-                raise AssertionError("no strong extension of a dicut-free digraph")
-            brute_min = len(combo)
+    if _search_budget_error(g) is None:
+        brute_min = len(_min_extension_search(g, cond))
     return BoundsReport(
         lower=lower,
         lower_matched=_matched_bound(g, cond),
@@ -341,36 +341,40 @@ def _matched_bound(g: StrictDigraph, cond: Condensation) -> int | None:
         return None
     xs = sorted(cond.components[cid][0] for cid in sources)
     ys = sorted(cond.components[cid][0] for cid in sinks)
-    into = g._in_lists
-    candidates = {}
-    for y in ys:
-        preds = set(into[y])
-        candidates[y] = [x for x in xs if x not in preds]
-    return len(xs) + len(ys) - _max_matching(ys, candidates)
+    return len(xs) + len(ys) - _max_matching(ys, xs, g._in_lists)
 
 
-def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
+def _max_matching(
+    left: list[int], right: list[int], excluded: Sequence[Iterable[int]]
+) -> int:
     """Maximum bipartite matching size by augmenting paths.
 
-    A first pass matches each left vertex to its first free candidate.
-    Each left vertex it leaves unmatched then starts a depth-first search
-    for an augmenting path; a vertex with none has none after later
-    augmentations either.  The search keeps its path on explicit stacks, so
-    the path length is not limited by the recursion depth.
-    """
+    Left vertex u may take the right vertices not in ``excluded[u]``, which
+    are produced in the order of ``right`` as they are asked for.  A first
+    pass matches each left vertex to its first free candidate; each one it
+    leaves unmatched then searches depth first, on explicit stacks, for an
+    augmenting path, which it cannot gain later.  A failed search changes
+    nothing, so what it saw leads to no free vertex and stays marked."""
+
+    def candidates(u: int, among: list[int]) -> Iterator[int]:
+        bad = set(excluded[u])
+        return (v for v in among if v not in bad)
+
     matched: dict[int, int] = {}
+    free = list(right)  # the unmatched right vertices, in order
     roots = []
     for u in left:
-        v = next((v for v in adj[u] if v not in matched), None)
+        v = next(candidates(u, free), None)
         if v is None:
             roots.append(u)
         else:
+            free.remove(v)
             matched[v] = u
+    seen: set[int] = set()
     for root in roots:
-        seen: set[int] = set()
-        # lefts[i][0] is entered through rights[i - 1]; lefts[i][1] holds
+        # lefts[i][0] is entered through rights[i - 1]; lefts[i][1] yields
         # its untried candidates
-        lefts, rights = [(root, iter(adj[root]))], []
+        lefts, rights = [(root, candidates(root, right))], []
         while lefts:
             v = next((v for v in lefts[-1][1] if v not in seen), None)
             if v is None:
@@ -383,8 +387,9 @@ def _max_matching(left: list[int], adj: dict[int, list[int]]) -> int:
             if v not in matched:
                 for (u, _), w in zip(lefts, rights):
                     matched[w] = u
+                seen.clear()
                 break
-            lefts.append((matched[v], iter(adj[matched[v]])))
+            lefts.append((matched[v], candidates(matched[v], right)))
     return len(matched)
 
 
@@ -425,9 +430,7 @@ def _best_cyclic_bound(per_weak: list[tuple[int, int]]) -> int:
     return total
 
 
-def brute_force_min_extension(
-    g: StrictDigraph,
-) -> tuple[int, ExtensionPlan] | None:
+def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | None:
     """Exact minimum strong extension by exhaustive search.
 
     Added-edge sets are enumerated in increasing size and lexicographically
@@ -448,32 +451,35 @@ def brute_force_min_extension(
     """
     _require_order(g)
     cond = strong_components(g)
-    if cond.r == 1:
-        return 0, ExtensionPlan((), g)
-    if find_complete_dicut(g) is not None:
-        return None
-    # one edge per adjacent pair
-    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
-    if free > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
-        raise BudgetError(
-            f"minimum-extension search supports at most "
-            f"{MIN_EXTENSION_PAIR_BUDGET} addable pairs on "
-            f"{MIN_EXTENSION_VERTEX_BUDGET} vertices; "
-            f"got {free} pairs on {g.n} vertices"
-        )
-    combo = _min_extension_search(g, cond, g.nonadjacent_pairs())
-    if combo is None:
-        return None
+    if cond.r > 1:
+        if find_complete_dicut(g) is not None:
+            return None
+        error = _search_budget_error(g)
+        if error is not None:
+            raise error
+    combo = _min_extension_search(g, cond)
     return len(combo), ExtensionPlan(combo, g.with_edges(combo))
 
 
-def _min_extension_search(
-    g: StrictDigraph, cond: Condensation, pairs: list[Edge]
-) -> tuple[Edge, ...] | None:
+def _search_budget_error(g: StrictDigraph) -> BudgetError | None:
+    """The error for an input the exact search may not run on, or None when
+    g is inside its budget of vertices and non-adjacent (free) pairs."""
+    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
+    if free <= MIN_EXTENSION_PAIR_BUDGET and g.n <= MIN_EXTENSION_VERTEX_BUDGET:
+        return None
+    return BudgetError(
+        f"minimum-extension search supports at most {MIN_EXTENSION_PAIR_BUDGET} "
+        f"addable pairs on {MIN_EXTENSION_VERTEX_BUDGET} vertices; "
+        f"got {free} pairs on {g.n} vertices"
+    )
+
+
+def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, ...]:
     """First strong added-edge set in size-then-lexicographic order, given
-    the condensation cond of g and the non-adjacent pairs of g."""
+    the condensation cond of a digraph g with no complete dicut."""
     if cond.r == 1:
         return ()
+    pairs = g.nonadjacent_pairs()
     full = (1 << g.n) - 1
     candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
     count = len(candidates)
@@ -548,7 +554,7 @@ def _min_extension_search(
     for size in range(max(cond.s, cond.t, 1), len(pairs) + 1):
         if search(0, size, unmet):
             return tuple(candidates[j] for j in chosen)
-    return None
+    raise AssertionError("no strong extension of a dicut-free digraph")
 
 
 def complete_to_tournament(g: StrictDigraph) -> StrictDigraph:

@@ -128,8 +128,7 @@ def test_criterion_05_bound_sandwich():
         for g in _sample():
             cond = strong_components(g)
             added = len(extend(g).added)
-            small = g.n <= 6 and len(g.nonadjacent_pairs()) <= 12
-            report = bounds(g, brute=small)
+            report = bounds(g)
             assert report.lower == (max(cond.s, cond.t) if cond.r > 1 else 0)
             assert report.lower <= added <= report.upper_theorem
             if report.brute_min is not None:

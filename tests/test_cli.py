@@ -10,6 +10,7 @@ import strongext
 from strongext import (
     StrictDigraph,
     gen_bipartite_plus_isolated,
+    gen_tt_minus_path,
     is_strong,
     serialize_edge_list,
 )
@@ -149,6 +150,20 @@ class TestAnalyze:
         assert code == 0
         assert "brute-min: 5\n" in out
         assert calls == ["strong_components"]
+
+    def test_connected_input_is_not_condensed_again(
+        self, capsys, write, monkeypatch
+    ):
+        # with one weak component there are no links, so growth starts
+        # from the input's own condensation
+        calls = count_calls(
+            monkeypatch, "_tarjan_sccs", "strongext.digraph", "strongext.extend"
+        )
+        text = serialize_edge_list(gen_tt_minus_path(12))
+        code, out, _ = run(capsys, "analyze", write(text))
+        assert code == 0
+        assert "c: 1\n" in out and "r: 12\n" in out
+        assert calls == ["_tarjan_sccs"]
 
     def test_json_dicut(self, capsys, write):
         code, out, _ = run(capsys, "analyze", write(TT3), "--json")
@@ -426,6 +441,17 @@ class TestDiceRealize:
 
     def test_exhausted_without_dicut(self, capsys, write):
         code, out, _ = run(capsys, "dice", "realize", write(CYCLE3), "-k", "1")
+        assert code == 1
+        assert out == (
+            "no balanced realization with 1-sided dice\n"
+            "no complete dicut found; larger dice may admit a realization\n"
+        )
+
+    def test_one_face_answered_at_once(self, capsys, write):
+        # 10! deals are inside the budget; dealing them all took minutes
+        code, out, _ = run(
+            capsys, "dice", "realize", write("n 10\n0 1\n"), "-k", "1"
+        )
         assert code == 1
         assert out == (
             "no balanced realization with 1-sided dice\n"

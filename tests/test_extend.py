@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from strongext.extend import (
     MIN_EXTENSION_PAIR_BUDGET,
     _best_cyclic_bound,
     _Growth,
+    _matched_bound,
     _max_matching,
 )
 
@@ -341,7 +343,7 @@ class TestCyclicBound:
                 cond = strong_components(g)
                 assert cond.c == c
                 expected = full_cyclic_search(per_weak_counts(cond))
-                assert bounds(g, brute=False).upper_cyclic == expected
+                assert bounds(g).upper_cyclic == expected
 
     def test_matches_permutations_on_random_counts(self):
         rng = Random(1964)
@@ -362,7 +364,7 @@ class TestCyclicBound:
             for _ in range(2):
                 per_weak = random_counts(rng, c)
                 assert _best_cyclic_bound(per_weak) == held_karp_cyclic_cost(per_weak)
-        assert bounds(gen_disjoint_cycles(3, 9), brute=False).upper_cyclic == 9
+        assert bounds(gen_disjoint_cycles(3, 9)).upper_cyclic == 9
 
     def test_held_karp_matches_permutations(self):
         rng = Random(1970)
@@ -413,9 +415,6 @@ class TestBounds:
         assert (report.upper_cyclic, report.upper_prop) == (3, 3)
         assert report.brute_min == 3
         assert report.lower_matched is None
-
-    def test_brute_flag(self):
-        assert bounds(PATH3, brute=False).brute_min is None
 
     def test_rejects_complete_dicut(self):
         with pytest.raises(HasCompleteDicutError):
@@ -484,7 +483,7 @@ class TestMatchingBound:
             tails = {u for u, _ in g.edges}
             heads = {v for _, v in g.edges}
             shaped = bool(tails) and not tails & heads and len(tails | heads) == g.n
-            report = bounds(g, brute=False)
+            report = bounds(g)
             assert (report.lower_matched is not None) == shaped
             matched += shaped
         assert matched >= 20
@@ -502,7 +501,8 @@ class TestMatchingBound:
                 for chosen in itertools.combinations(pairs, size)
                 if len({u for u, _ in chosen}) == len({v for _, v in chosen}) == size
             )
-            assert _max_matching(left, adj) == best
+            excluded = {u: [v for v in right if v not in adj[u]] for u in left}
+            assert _max_matching(left, right, excluded) == best
 
     def test_long_augmenting_path(self):
         # the only non-edges pair y_i with x_i and x_{i+1}, and y_1100 with
@@ -519,7 +519,7 @@ class TestMatchingBound:
                 (x, y) for x in xs for y in ys if (x, y) not in missing
             ),
         )
-        assert bounds(g, brute=False).lower_matched == size
+        assert bounds(g).lower_matched == size
 
     def test_sparse_perfect_matching(self):
         # edges i -> i + h only: each sink's candidates are every source
@@ -527,7 +527,21 @@ class TestMatchingBound:
         # augment; an augmenting search from every sink is cubic here
         h = 2000
         g = StrictDigraph(2 * h, [(i, i + h) for i in range(h)])
-        assert bounds(g, brute=False).lower_matched == h
+        assert bounds(g).lower_matched == h
+
+    def test_candidates_are_not_listed(self):
+        # every sink has all sources but one as candidates; listing them
+        # took 79 MB here
+        h = 3000
+        g = StrictDigraph(2 * h, [(i, i + h) for i in range(h)])
+        cond = strong_components(g)
+        tracemalloc.start()
+        try:
+            assert _matched_bound(g, cond) == h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_sound_on_random_bipartite(self):
         rng = Random(4217)
@@ -593,6 +607,24 @@ class TestBruteForceMinExtension:
         with pytest.raises(BudgetError):
             brute_force_min_extension(StrictDigraph(8, frozenset()))
 
+    @pytest.mark.parametrize(
+        "a, b, between, free, in_budget",
+        [(5, 5, 11, 24, True), (5, 5, 10, 25, False), (5, 6, 20, 24, False)],
+    )
+    def test_budget_edges_through_both_entries(self, a, b, between, free, in_budget):
+        # n = 10 with 24 and 25 free pairs, and n = 11 with 24; one edge
+        # back from the second cycle makes each strong
+        g = two_cycles_joined(a, b, between)
+        assert len(g.nonadjacent_pairs()) == free
+        if in_budget:
+            assert bounds(g).brute_min == 1
+            size, plan = brute_force_min_extension(g)
+            assert size == 1 and is_strong(plan.resulting)
+        else:
+            assert bounds(g).brute_min is None
+            with pytest.raises(BudgetError):
+                brute_force_min_extension(g)
+
     def test_dicut_and_strong_inputs_skip_the_budget(self):
         # both need no search, so the size budget does not apply
         tt11 = StrictDigraph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
@@ -623,6 +655,16 @@ class TestBruteForceMinExtension:
                 size, plan = brute_force_min_extension(g)
                 assert size == p + q
                 assert len(plan.added) == size and is_strong(plan.resulting)
+
+
+def two_cycles_joined(a: int, b: int, between: int) -> StrictDigraph:
+    """An a-cycle and a b-cycle with the first `between` pairs of the
+    first's vertices and the second's, in sorted order, as edges into the
+    second; with 0 < between < a·b there is no complete dicut."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    edges += list(itertools.product(range(a), range(a, a + b)))[:between]
+    return StrictDigraph(a + b, edges)
 
 
 def min_extension_corpus() -> tuple[list[StrictDigraph], list[StrictDigraph]]:
