@@ -15,7 +15,6 @@ detector, are in the test suite's ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import sub
 
@@ -101,11 +100,11 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     """
     n = g.n
     tails, heads = g._columns
-    out, into = Counter(tails), Counter(heads)
-    vertices = range(n)
-    score = list(
-        map(sub, map(out.__getitem__, vertices), map(into.__getitem__, vertices))
-    )
+    score = [0] * n
+    for u in tails:
+        score[u] += 1
+    for v in heads:
+        score[v] -= 1
     order = sorted(range(n), key=score.__getitem__, reverse=True)
     best: tuple[int, ...] | None = None
     total = 0

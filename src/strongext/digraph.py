@@ -7,12 +7,12 @@ one edge per unordered vertex pair.  Vertices are dense indices 0..n-1.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, islice, repeat
-from operator import add, floordiv, itemgetter, mod, mul, not_
+from operator import add, floordiv, itemgetter, mod, not_
 
 from .errors import ParseError
 
@@ -21,11 +21,6 @@ Edge = tuple[int, int]
 # Largest vertex count parse_edge_list accepts: per-vertex lists are built
 # before any edge is read, so a header alone must not exhaust memory.
 MAX_VERTICES = 1_000_000
-
-
-def _encode(n: int, tails, heads):
-    """Codes u * n + v of the edges (u, v) with u from tails and v from heads."""
-    return map(add, map(mul, tails, repeat(n)), heads)
 
 
 class StrictDigraph:
@@ -40,21 +35,8 @@ class StrictDigraph:
     def __init__(self, n: int, edges: Iterable[Edge] = frozenset()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs = frozenset(edges)
-        tails = [u for u, _ in pairs]
-        heads = [v for _, v in pairs]
-        valid = not pairs or (
-            0 <= min(tails)
-            and max(tails) < n
-            and 0 <= min(heads)
-            and max(heads) < n
-        )
-        # a loop (v, v) is its own reverse, so one disjointness test rejects
-        # loops and antiparallel pairs alike
-        if not valid or not pairs.isdisjoint(zip(heads, tails)):
-            _reject(n, pairs)
-        # in range, distinct edges have distinct codes
-        self._init(n, frozenset(_encode(n, tails, heads)), tails, heads)
+        codes, tails, heads = _strict_columns(n, edges)
+        self._init(n, frozenset(codes), tails, heads)
 
     def _init(
         self, n: int, codes: frozenset[int], tails: list[int], heads: list[int]
@@ -132,27 +114,11 @@ class StrictDigraph:
         were; an extra edge repeated in ``extra`` is added once.  With
         nothing to add, the digraph itself is returned.
         """
-        extra = list(extra)
-        if not extra:
+        codes, tails, heads = _strict_columns(self.n, extra, self._codes)
+        if not tails:
             return self
-        n, codes = self.n, self._codes
-        fresh = dict.fromkeys(extra)  # each extra edge once, in order
-        for u, v in extra:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u * n + v in codes:
-                raise ValueError(f"edge ({u}, {v}) already present")
-            if v * n + u in codes or (v, u) in fresh:
-                raise ValueError(f"antiparallel pair between {u} and {v}")
-        tails = [u for u, _ in fresh]
-        heads = [v for _, v in fresh]
         return StrictDigraph._trusted(
-            n,
-            codes.union(_encode(n, tails, heads)),
-            self._tails + tails,
-            self._heads + heads,
+            self.n, self._codes.union(codes), self._tails + tails, self._heads + heads
         )
 
     def nonadjacent_pairs(self) -> list[Edge]:
@@ -166,15 +132,42 @@ class StrictDigraph:
         ]
 
 
-def _reject(n: int, pairs: frozenset[Edge]):
-    """Raise a ValueError naming an invalid edge of pairs."""
-    for u, v in pairs:
+def _strict_columns(
+    n: int, edges: Iterable[Edge], present: frozenset[int] = frozenset()
+) -> tuple[Iterable[int], list[int], list[int]]:
+    """Codes u * n + v, tails and heads of the edges, each edge once, in
+    order of first appearance: the one check that an edge set is strict.
+
+    Raises ValueError on the first loop, out-of-range edge or antiparallel
+    pair, the pair named by its earlier edge, and on an edge whose code is
+    in ``present``, the codes of edges already in the digraph.
+    """
+    # the code of the first edge between two vertices, keyed by the code of
+    # the pair's increasing orientation: one lookup finds either orientation
+    first: dict[int, int] = {}
+    tails: list[int] = []
+    heads: list[int] = []
+    for u, v in edges:
         if u == v:
             raise ValueError(f"loop at vertex {u}")
+        # before any code is formed: at n = 3, (-1, 5) has the code of (0, 2)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if (v, u) in pairs:
-            raise ValueError(f"antiparallel pair between {u} and {v}")
+        code = u * n + v
+        pair = code if u < v else v * n + u
+        earlier = first.get(pair)
+        if earlier is None:
+            if present:
+                if code in present:
+                    raise ValueError(f"edge ({u}, {v}) already present")
+                if v * n + u in present:
+                    raise ValueError(f"antiparallel pair between {u} and {v}")
+            first[pair] = code
+            tails.append(u)
+            heads.append(v)
+        elif earlier != code:
+            raise ValueError(f"antiparallel pair between {v} and {u}")
+    return first.values(), tails, heads
 
 
 def _split(n: int, codes: frozenset[int]) -> tuple[list[int], list[int]]:
@@ -243,51 +236,47 @@ def parse_edge_list(text: str) -> StrictDigraph:
 def _parse_lines(text: str) -> StrictDigraph:
     """Line-by-line reader behind parse_edge_list; the only one that raises.
 
-    Each line is checked as it is read, so the result is built without
-    checking the edges again.
+    Edge lines are fed to the strictness check as they are read, so an
+    error names the first offending line.
     """
-    n = None
-    codes: set[int] = set()
-    tails: list[int] = []
-    heads: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise ParseError(lineno, "expected header 'n <N>'")
+    lines = (
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise ParseError(lineno, "missing header 'n <N>'")
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise ParseError(lineno, "expected header 'n <N>'")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise ParseError(lineno, f"bad vertex count {tokens[1]!r}") from None
+    if n < 0:
+        raise ParseError(lineno, "vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ParseError(
+            lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
+
+    def edges() -> Iterator[Edge]:
+        nonlocal lineno
+        for lineno, line in lines:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(lineno, f"expected '<u> <v>', got {line!r}")
             try:
-                n = int(tokens[1])
+                edge = int(tokens[0]), int(tokens[1])
             except ValueError:
-                raise ParseError(lineno, f"bad vertex count {tokens[1]!r}") from None
-            if n < 0:
-                raise ParseError(lineno, "vertex count must be nonnegative")
-            if n > MAX_VERTICES:
-                raise ParseError(
-                    lineno, f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
-                )
-            continue
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
-        if u == v:
-            raise ParseError(lineno, f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(lineno, f"vertex index out of range in edge {u} {v}")
-        if v * n + u in codes:
-            raise ParseError(lineno, f"antiparallel pair between {u} and {v}")
-        code = u * n + v
-        if code not in codes:
-            codes.add(code)
-            tails.append(u)
-            heads.append(v)
-    if n is None:
-        raise ParseError(1, "missing header 'n <N>'")
+                raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
+            yield edge
+
+    try:
+        codes, tails, heads = _strict_columns(n, edges())
+    except ValueError as exc:  # raised on the edge of the line read last
+        raise ParseError(lineno, str(exc)) from None
     return StrictDigraph._trusted(n, frozenset(codes), tails, heads)
 
 

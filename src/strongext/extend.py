@@ -12,7 +12,6 @@ in the test suite's ``tests/helpers.py``, not here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .dicut import find_complete_dicut
@@ -53,7 +52,8 @@ class BoundsReport:
     ``lower_matched`` is None unless every strong component is a single
     vertex that is a source or a sink but not both.  ``upper_cyclic`` and
     ``upper_prop`` are None unless the input is disconnected (c > 1), and
-    ``brute_min`` is None when the exact search budget is exceeded.
+    ``brute_min`` is 0 for a strong input and otherwise None when the exact
+    search budget is exceeded.
     """
 
     lower: int
@@ -315,7 +315,7 @@ def _bounds_from(g: StrictDigraph, cond: Condensation) -> BoundsReport:
         )
         upper_prop = cond.s + cond.t - cond.c
     brute_min = None
-    if _search_budget_error(g) is None:
+    if cond.r == 1 or _search_budget_error(g) is None:
         brute_min = len(_min_extension_search(g, cond))
     return BoundsReport(
         lower=lower,
@@ -341,55 +341,57 @@ def _matched_bound(g: StrictDigraph, cond: Condensation) -> int | None:
         return None
     xs = sorted(cond.components[cid][0] for cid in sources)
     ys = sorted(cond.components[cid][0] for cid in sinks)
-    return len(xs) + len(ys) - _max_matching(ys, xs, g._in_lists)
+    return len(xs) + len(ys) - _max_matching(g, ys, xs)
 
 
-def _max_matching(
-    left: list[int], right: list[int], excluded: Sequence[Iterable[int]]
-) -> int:
+def _max_matching(g: StrictDigraph, left: list[int], right: list[int]) -> int:
     """Maximum bipartite matching size by augmenting paths.
 
-    Left vertex u may take the right vertices not in ``excluded[u]``, which
-    are produced in the order of ``right`` as they are asked for.  A first
-    pass matches each left vertex to its first free candidate; each one it
-    leaves unmatched then searches depth first, on explicit stacks, for an
-    augmenting path, which it cannot gain later.  A failed search changes
-    nothing, so what it saw leads to no free vertex and stays marked."""
-
-    def candidates(u: int, among: list[int]) -> Iterator[int]:
-        bad = set(excluded[u])
-        return (v for v in among if v not in bad)
-
+    Left vertex u may take the right vertices v with no edge (v, u) in g,
+    tried in the order of ``right``.  A first pass matches each left vertex
+    to its first free candidate; each one it leaves unmatched then searches
+    depth first, on explicit stacks, for an augmenting path, which it cannot
+    gain later.  A failed search changes nothing, so what it saw leads to no
+    free vertex and stays marked."""
+    n, codes = g.n, g._codes
     matched: dict[int, int] = {}
     free = list(right)  # the unmatched right vertices, in order
     roots = []
     for u in left:
-        v = next(candidates(u, free), None)
-        if v is None:
-            roots.append(u)
+        for i, v in enumerate(free):
+            if v * n + u not in codes:
+                del free[i]
+                matched[v] = u
+                break
         else:
-            free.remove(v)
-            matched[v] = u
+            roots.append(u)
     seen: set[int] = set()
+    size = len(right)
     for root in roots:
-        # lefts[i][0] is entered through rights[i - 1]; lefts[i][1] yields
-        # its untried candidates
-        lefts, rights = [(root, candidates(root, right))], []
+        # lefts[i] is entered through rights[i - 1]; its scan of right
+        # resumes at index starts[i]
+        lefts, starts, rights = [root], [0], []
         while lefts:
-            v = next((v for v in lefts[-1][1] if v not in seen), None)
-            if v is None:
+            u, i = lefts[-1], starts[-1]
+            while i < size and (right[i] in seen or right[i] * n + u in codes):
+                i += 1
+            if i == size:
                 lefts.pop()
+                starts.pop()
                 if rights:
                     rights.pop()
                 continue
+            starts[-1] = i + 1
+            v = right[i]
             seen.add(v)
             rights.append(v)
             if v not in matched:
-                for (u, _), w in zip(lefts, rights):
+                for u, w in zip(lefts, rights):
                     matched[w] = u
                 seen.clear()
                 break
-            lefts.append((matched[v], candidates(matched[v], right)))
+            lefts.append(matched[v])
+            starts.append(0)
     return len(matched)
 
 

@@ -1,4 +1,12 @@
-"""Pytest hooks: collect acceptance verdict lines for the terminal summary."""
+"""Pytest hooks: a reproducible hypothesis profile, and acceptance verdict
+lines collected for the terminal summary."""
+
+from hypothesis import settings
+
+# the same examples on every run, and none replayed from an earlier one;
+# per-test @settings still override the other fields
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 _verdicts: list[str] = []
 

@@ -328,6 +328,12 @@ class TestBounds:
         assert code == 0
         assert out == "lower: 1\nupper-theorem: 2\nbrute-min: 1\n"
 
+    def test_strong_input_outside_search_budget(self, capsys, write):
+        cycle12 = "n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
+        code, out, _ = run(capsys, "bounds", write(cycle12))
+        assert code == 0
+        assert out == "lower: 0\nupper-theorem: 0\nbrute-min: 0\n"
+
     def test_dicut_input(self, capsys, write):
         code, out, _ = run(capsys, "bounds", write(TT3))
         assert code == 1

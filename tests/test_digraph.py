@@ -83,6 +83,29 @@ class TestStrictDigraph:
         with pytest.raises(ValueError, match=message):
             PATH3.with_edges(extra)
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 1)], "loop at vertex 1"),
+            ([(0, 3)], "edge (0, 3) out of range for n=3"),
+            # (-1, 5) has the code of (0, 2) at n = 3
+            ([(0, 2), (-1, 5)], "edge (-1, 5) out of range for n=3"),
+            ([(0, 1), (1, 0)], "antiparallel pair between 0 and 1"),
+            ([(1, 0), (0, 1)], "antiparallel pair between 1 and 0"),
+        ],
+    )
+    def test_one_rule_for_every_entry(self, edges, message):
+        with pytest.raises(ValueError) as built:
+            StrictDigraph(3, edges)
+        with pytest.raises(ValueError) as extended:
+            StrictDigraph(3).with_edges(edges)
+        assert str(built.value) == str(extended.value) == message
+        # the comment line keeps the text off the bulk path
+        text = "# g\nn 3\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(ParseError) as parsed:
+            parse_edge_list(text)
+        assert str(parsed.value) == f"line {2 + len(edges)}: {message}"
+
     def test_with_edges_nothing_to_add_returns_self(self):
         assert PATH3.with_edges([]) is PATH3
         assert PATH3.with_edges(iter(())) is PATH3
@@ -224,6 +247,18 @@ class TestParse:
     def test_antiparallel_names_line(self):
         with pytest.raises(ParseError, match="line 3: antiparallel"):
             parse_edge_list("n 3\n0 1\n1 0")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\n0 0\n1 x\n", "line 2: loop at vertex 0"),
+            ("n 3\n0 1\n1 0\n0 1 2\n", "line 3: antiparallel pair between 0 and 1"),
+        ],
+    )
+    def test_first_bad_line_is_named(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == message
 
     def test_loop_names_line(self):
         with pytest.raises(ParseError, match="line 2: loop"):

@@ -409,6 +409,11 @@ class TestBounds:
         assert report.upper_theorem == 0
         assert report.brute_min == 0
 
+    def test_strong_outside_search_budget(self):
+        # 54 free pairs on 12 vertices, yet a strong input needs no search
+        report = bounds(gen_disjoint_cycles(12, 1))
+        assert (report.lower, report.upper_theorem, report.brute_min) == (0, 0, 0)
+
     def test_edgeless(self):
         report = bounds(StrictDigraph(3, frozenset()))
         assert (report.lower, report.upper_theorem) == (3, 3)
@@ -431,6 +436,17 @@ class TestBounds:
             assert report.lower_matched <= report.brute_min
         if report.upper_cyclic is not None:
             assert report.brute_min <= report.upper_cyclic <= report.upper_prop
+
+
+def traced_matched_bound(g: StrictDigraph) -> tuple[int | None, int]:
+    """_matched_bound of g and the tracemalloc peak while computing it from
+    g's condensation, which is built beforehand."""
+    cond = strong_components(g)
+    tracemalloc.start()
+    try:
+        return _matched_bound(g, cond), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMatchingBound:
@@ -501,8 +517,11 @@ class TestMatchingBound:
                 for chosen in itertools.combinations(pairs, size)
                 if len({u for u, _ in chosen}) == len({v for _, v in chosen}) == size
             )
-            excluded = {u: [v for v in right if v not in adj[u]] for u in left}
-            assert _max_matching(left, right, excluded) == best
+            # u may take v unless g has the edge (v, u)
+            g = StrictDigraph(
+                16, [(v, u) for u in left for v in right if v not in adj[u]]
+            )
+            assert _max_matching(g, left, right) == best
 
     def test_long_augmenting_path(self):
         # the only non-edges pair y_i with x_i and x_{i+1}, and y_1100 with
@@ -519,7 +538,10 @@ class TestMatchingBound:
                 (x, y) for x in xs for y in ys if (x, y) not in missing
             ),
         )
-        assert bounds(g).lower_matched == size
+        # a 1 101-frame search path, and no frame holds a candidate set
+        bound, peak = traced_matched_bound(g)
+        assert bound == size
+        assert peak < 5_000_000
 
     def test_sparse_perfect_matching(self):
         # edges i -> i + h only: each sink's candidates are every source
@@ -534,13 +556,8 @@ class TestMatchingBound:
         # took 79 MB here
         h = 3000
         g = StrictDigraph(2 * h, [(i, i + h) for i in range(h)])
-        cond = strong_components(g)
-        tracemalloc.start()
-        try:
-            assert _matched_bound(g, cond) == h
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        bound, peak = traced_matched_bound(g)
+        assert bound == h
         assert peak < 5_000_000
 
     def test_sound_on_random_bipartite(self):
