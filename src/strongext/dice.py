@@ -8,6 +8,7 @@ by the first die; it beats the second when c > k * k / 2, strictly.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,32 +25,14 @@ SEARCH_BUDGET = 10_000_000
 class DiceSet:
     """Dice with pairwise disjoint faces, each die the same number of sides.
 
-    Faces are positive integers; each die's faces are stored sorted.
+    Faces are positive integers; each die's faces are stored sorted.  Any
+    iterable of dice is accepted and read one die at a time.
     """
 
     dice: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.dice:
-            raise InvalidDiceError("need at least one die")
-        sides = len(self.dice[0])
-        if sides == 0:
-            raise InvalidDiceError("dice must have at least one face")
-        seen: set[int] = set()
-        for i, die in enumerate(self.dice):
-            if len(die) != sides:
-                raise InvalidDiceError(
-                    f"die {i} has {len(die)} faces, expected {sides}"
-                )
-            for face in die:
-                if face < 1:
-                    raise InvalidDiceError(f"face values must be positive, got {face}")
-                if face in seen:
-                    raise InvalidDiceError(f"face {face} appears on two dice")
-                seen.add(face)
-        object.__setattr__(
-            self, "dice", tuple(tuple(sorted(die)) for die in self.dice)
-        )
+        object.__setattr__(self, "dice", _checked_dice(self.dice))
 
     @property
     def count(self) -> int:
@@ -60,39 +43,65 @@ class DiceSet:
         return len(self.dice[0])
 
 
-def parse_dice(text: str) -> DiceSet:
-    """One die per line, faces as whitespace-separated positive integers."""
-    dice: list[tuple[int, ...]] = []
-    seen: dict[int, int] = {}
-    sides = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        faces = []
-        for token in line.split():
-            try:
-                face = int(token)
-            except ValueError:
-                raise ParseError(lineno, f"expected an integer face, got {token!r}")
-            if face < 1:
-                raise ParseError(lineno, f"face values must be positive, got {face}")
-            if face in seen:
-                raise ParseError(
-                    lineno, f"face {face} already used on line {seen[face]}"
-                )
-            seen[face] = lineno
-            faces.append(face)
-        if sides is None:
-            sides = len(faces)
-        elif len(faces) != sides:
-            raise ParseError(
-                lineno, f"expected {sides} faces per die, got {len(faces)}"
+def _checked_dice(dice: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The dice, each die's faces sorted: the one check that dice are valid.
+
+    Reads the dice one at a time and raises InvalidDiceError on the first
+    die that is empty, has a side count unlike the first die's, or has a
+    face below 1 or one seen before, on it or an earlier die; and on no dice.
+    """
+    checked: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for i, faces in enumerate(dice):
+        die = tuple(sorted(faces))
+        if not die:
+            raise InvalidDiceError("dice must have at least one face")
+        if checked and len(die) != len(checked[0]):
+            raise InvalidDiceError(
+                f"die {i} has {len(die)} faces, expected {len(checked[0])}"
             )
-        dice.append(tuple(faces))
-    if not dice:
-        raise ParseError(1, "no dice found")
-    return DiceSet(tuple(dice))
+        if die[0] < 1:
+            raise InvalidDiceError(f"face values must be positive, got {die[0]}")
+        for face in die:
+            if face in seen:
+                raise InvalidDiceError(f"face {face} appears twice")
+            seen.add(face)
+        checked.append(die)
+    if not checked:
+        raise InvalidDiceError("need at least one die")
+    return tuple(checked)
+
+
+def parse_dice(text: str) -> DiceSet:
+    """One die per line, faces as whitespace-separated positive integers.
+
+    Blank lines are skipped and ``#`` starts a comment.  Dice are fed to the
+    dice check as they are read, so an error names the first offending line.
+    """
+    lines = (
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    lineno = 1
+
+    def dice() -> Iterator[list[int]]:
+        nonlocal lineno
+        for lineno, line in lines:
+            faces = []
+            for token in line.split():
+                try:
+                    faces.append(int(token))
+                except ValueError:
+                    raise ParseError(
+                        lineno, f"expected an integer face, got {token!r}"
+                    ) from None
+            yield faces
+
+    try:
+        return DiceSet(dice())
+    except InvalidDiceError as exc:  # raised on the die of the line read last
+        raise ParseError(lineno, str(exc)) from None
 
 
 def serialize_dice(d: DiceSet) -> str:
@@ -105,16 +114,10 @@ def _win_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def win_probability(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-    """Probability that a roll of ``a`` strictly exceeds a roll of ``b``."""
-    if not a or not b:
-        raise InvalidDiceError("dice must have at least one face")
-    if len(a) != len(b):
-        raise InvalidDiceError(
-            f"dice must have the same number of faces, got {len(a)} and {len(b)}"
-        )
-    if set(a) & set(b):
-        raise InvalidDiceError("dice must not share face values")
-    return Fraction(_win_count(a, sorted(b)), len(a) * len(b))
+    """Probability that a roll of ``a`` strictly exceeds a roll of ``b``;
+    the two dice must form a valid dice set."""
+    a, b = _checked_dice((a, b))
+    return Fraction(_win_count(a, b), len(a) * len(b))
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,6 @@ class WinMatrix:
 
     counts: tuple[tuple[int, ...], ...]
     sides: int
-
-    def probability(self, i: int, j: int) -> Fraction:
-        return Fraction(self.counts[i][j], self.sides * self.sides)
 
 
 def win_matrix(d: DiceSet) -> WinMatrix:

@@ -508,23 +508,4 @@ def strong_components(g: StrictDigraph) -> Condensation:
 
 def is_strong(g: StrictDigraph) -> bool:
     """True iff g has exactly one strong component; false on the empty graph."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    return _reaches_all(g.n, g._out_lists, 0) and _reaches_all(g.n, g._in_lists, 0)
-
-
-def _reaches_all(n: int, adj: list[list[int]], start: int) -> bool:
-    seen = [False] * n
-    seen[start] = True
-    count = 1
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+    return g.n > 0 and len(_tarjan_sccs(g.n, g._out_lists)[1]) == 1

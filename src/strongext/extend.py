@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dicut import find_complete_dicut
 from .digraph import (
+    MAX_VERTICES,
     Condensation,
     Edge,
     StrictDigraph,
@@ -67,6 +68,15 @@ class BoundsReport:
 def _require_order(g: StrictDigraph):
     if g.n < 3:
         raise TooSmallError(f"need at least 3 vertices, got {g.n}")
+
+
+def _require_vertex_limit(n: int):
+    """Reject a generated vertex count the edge-list reader would refuse;
+    called before any edge is built."""
+    if n > MAX_VERTICES:
+        raise InvalidInputError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
 
 
 def _require_no_complete_dicut(g: StrictDigraph):
@@ -576,8 +586,7 @@ def hamiltonian_cycle_strong_tournament(t: StrictDigraph) -> list[int]:
     an edge from a loser to a winner; that pair is spliced in together.  The
     result is rotated to start at its smallest vertex.
     """
-    if t.n < 3:
-        raise TooSmallError(f"need at least 3 vertices, got {t.n}")
+    _require_order(t)
     if len(t._columns[0]) != t.n * (t.n - 1) // 2:
         raise NotTournamentError("every vertex pair must be adjacent")
     if not is_strong(t):
@@ -639,6 +648,7 @@ def gen_tt_minus_path(r: int) -> StrictDigraph:
     """
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got {r}")
+    _require_vertex_limit(r)
     edges = {(i, j) for i in range(r) for j in range(i + 2, r)}
     return StrictDigraph(r, frozenset(edges))
 
@@ -648,6 +658,7 @@ def gen_bipartite_plus_isolated(p: int, q: int) -> StrictDigraph:
     isolated vertex; its minimum strong extension needs exactly p + q edges."""
     if p < 1 or q < 1:
         raise InvalidInputError("need p >= 1 and q >= 1")
+    _require_vertex_limit(p + q + 1)
     edges = {(i, p + j) for i in range(p) for j in range(q)}
     return StrictDigraph(p + q + 1, frozenset(edges))
 
@@ -658,6 +669,7 @@ def gen_disjoint_cycles(k: int, m: int) -> StrictDigraph:
         raise InvalidInputError(f"cycle length must be at least 3, got {k}")
     if m < 1:
         raise InvalidInputError(f"need at least one cycle, got {m}")
+    _require_vertex_limit(k * m)
     edges = set()
     for c in range(m):
         base = c * k

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -603,13 +604,14 @@ class TestFreshProcess:
     """``python -m strongext.cli`` in a new interpreter, with and without -O."""
 
     @staticmethod
-    def cli(flags, *argv):
+    def cli(flags, *argv, preexec_fn=None):
         src = os.path.dirname(os.path.dirname(os.path.abspath(strongext.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *flags, "-m", "strongext.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=preexec_fn,
         )
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
@@ -628,3 +630,22 @@ class TestFreshProcess:
         assert done.stdout == ""
         assert "line 2" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "params, n",
+        [
+            (("cycles", "3", "400000"), 1_200_000),
+            (("bipartite", "500000", "500000"), 1_000_001),
+        ],
+    )
+    def test_gen_vertex_limit(self, params, n):
+        # gen refuses the count before building any edge; the 1 GiB
+        # address-space cap makes a missing check fail fast (the bipartite
+        # family would build 2.5 * 10**11 edges) instead of filling memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = self.cli((), "gen", *params, preexec_fn=cap)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: vertex count {n} exceeds the limit of 1000000\n"

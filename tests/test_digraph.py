@@ -536,6 +536,12 @@ class TestIsStrong:
         assert is_strong(StrictDigraph(1, frozenset()))
         assert not is_strong(StrictDigraph(0, frozenset()))
 
+    @pytest.mark.parametrize("g", [CYCLE3, PATH3, TWO_CYCLES])
+    def test_reads_out_lists_only(self, g):
+        fresh = parse_edge_list(serialize_edge_list(g))
+        assert is_strong(fresh) == (g is CYCLE3)
+        assert "_in_lists" not in vars(fresh)
+
     @given(strict_digraphs())
     def test_matches_reachability_oracle(self, g):
         assert is_strong(g) == oracle_is_strong(g)
