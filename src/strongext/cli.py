@@ -20,8 +20,7 @@ from .dice import (
     LOSER_TO_WINNER,
     WINNER_TO_LOSER,
     DiceSet,
-    _balance_from,
-    _beats_from,
+    beats_digraph,
     is_balanced,
     parse_dice,
     search_balanced_realization,
@@ -55,8 +54,6 @@ from .errors import (
 from .extend import (
     BoundsReport,
     ExtensionPlan,
-    _bounds_from,
-    _extend_from,
     bounds,
     brute_force_min_extension,
     extend,
@@ -124,8 +121,8 @@ def analyze(g: StrictDigraph) -> AnalysisReport:
     return AnalysisReport(
         VERDICT_CONNECTABLE,
         summary=cond,
-        plan=_extend_from(g, cond),
-        bounds_report=_bounds_from(g, cond),
+        plan=extend(g),
+        bounds_report=bounds(g),
     )
 
 
@@ -265,9 +262,9 @@ def cmd_extend(args) -> int:
         result = brute_force_min_extension(g)
         if result is None:
             # brute_force_min_extension returns None only on a complete dicut
-            print("no strong extension exists")
-            print(format_certificate(find_complete_dicut(g)))
-            return 1
+            if not args.json:
+                print("no strong extension exists")
+            raise HasCompleteDicutError(find_complete_dicut(g))
         minimum, plan = result
         if args.json:
             payload = {"minimum": minimum, "plan": _plan_dict(plan)}
@@ -293,10 +290,10 @@ def _read_dice(path: str) -> DiceSet:
 
 def cmd_dice_eval(args) -> int:
     d = _read_dice(args.file)
-    # balance and the beats digraph are both read off this one matrix
+    # balance and the beats digraph are both read off d's one cached matrix
     m = win_matrix(d)
-    balanced, p = (None, None) if d.count < 2 else _balance_from(m)
-    beats = _beats_from(m, args.direction)
+    balanced, p = (None, None) if d.count < 2 else is_balanced(d)
+    beats = beats_digraph(d, args.direction)
     if args.json:
         payload = {
             "dice": d.dice,
@@ -469,7 +466,10 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except HasCompleteDicutError as exc:
-        print(format_certificate(exc.certificate))
+        if getattr(args, "json", False):
+            sys.stdout.write(_dump({"dicut": list(exc.certificate.sorted_vertices())}))
+        else:
+            print(format_certificate(exc.certificate))
         return 1
     except (StrongExtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

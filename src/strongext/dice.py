@@ -11,6 +11,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .digraph import StrictDigraph
 from .errors import BudgetError, InvalidDiceError, ParseError, TooSmallError
@@ -26,7 +27,8 @@ class DiceSet:
     """Dice with pairwise disjoint faces, each die the same number of sides.
 
     Faces are positive integers; each die's faces are stored sorted.  Any
-    iterable of dice is accepted and read one die at a time.
+    iterable of dice is accepted and read one die at a time.  The win
+    matrix is computed once per set and left out of equality, hash and repr.
     """
 
     dice: tuple[tuple[int, ...], ...]
@@ -41,6 +43,17 @@ class DiceSet:
     @property
     def sides(self) -> int:
         return len(self.dice[0])
+
+    @cached_property
+    def _win_matrix(self) -> WinMatrix:
+        """The matrix ``win_matrix`` returns; cached_property writes it to
+        the instance dict, past the frozen ``__setattr__``."""
+        dice, count = self.dice, self.count
+        counts = tuple(
+            tuple(0 if i == j else _win_count(dice[i], dice[j]) for j in range(count))
+            for i in range(count)
+        )
+        return WinMatrix(counts, self.sides)
 
 
 def _checked_dice(dice: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -130,14 +143,7 @@ class WinMatrix:
 
 
 def win_matrix(d: DiceSet) -> WinMatrix:
-    counts = tuple(
-        tuple(
-            0 if i == j else _win_count(d.dice[i], d.dice[j])
-            for j in range(d.count)
-        )
-        for i in range(d.count)
-    )
-    return WinMatrix(counts, d.sides)
+    return d._win_matrix
 
 
 def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph:
@@ -150,19 +156,13 @@ def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph
     """
     if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
         raise InvalidDiceError(f"unknown edge direction {direction!r}")
-    return _beats_from(win_matrix(d), direction)
-
-
-def _beats_from(m: WinMatrix, direction: str) -> StrictDigraph:
-    """The beats digraph of the dice whose win counts m holds."""
-    count = len(m.counts)
-    half = m.sides * m.sides
+    counts, half = win_matrix(d).counts, d.sides * d.sides
     edges = set()
-    for i in range(count):
-        for j in range(i + 1, count):
-            if 2 * m.counts[i][j] > half:
+    for i in range(d.count):
+        for j in range(i + 1, d.count):
+            if 2 * counts[i][j] > half:
                 winner, loser = i, j
-            elif 2 * m.counts[j][i] > half:
+            elif 2 * counts[j][i] > half:
                 winner, loser = j, i
             else:
                 continue
@@ -170,7 +170,7 @@ def _beats_from(m: WinMatrix, direction: str) -> StrictDigraph:
                 edges.add((winner, loser))
             else:
                 edges.add((loser, winner))
-    return StrictDigraph(count, frozenset(edges))
+    return StrictDigraph(d.count, frozenset(edges))
 
 
 def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
@@ -181,17 +181,11 @@ def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
     """
     if d.count < 2:
         raise InvalidDiceError("balance needs at least two dice")
-    return _balance_from(win_matrix(d))
-
-
-def _balance_from(m: WinMatrix) -> tuple[bool, Fraction | None]:
-    """is_balanced for the dice, at least two, whose win counts m holds."""
-    count = len(m.counts)
-    total = m.sides * m.sides
+    counts, total = win_matrix(d).counts, d.sides * d.sides
     tops = {
-        max(m.counts[i][j], total - m.counts[i][j])
-        for i in range(count)
-        for j in range(i + 1, count)
+        max(counts[i][j], total - counts[i][j])
+        for i in range(d.count)
+        for j in range(i + 1, d.count)
     }
     if len(tops) != 1:
         return False, None

@@ -6,7 +6,7 @@ complete dicut can never be destroyed by adding edges to a strict digraph,
 so its originating side X certifies that no strong extension exists.
 
 ``find_complete_dicut`` decides by the score sequence d(v) = out(v) - in(v):
-one pass over the edges and a sort of the n vertices.
+one pass over the edges and a sort of the n vertices, run once per digraph.
 ``verify_complete_dicut`` checks a given side by counting the edges that
 leave and enter it, independently of the detector.  The references the
 detector is tested against, a scan of every subset and a block-merging
@@ -98,20 +98,5 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     lexicographically smallest sorted vertex list is returned, matching a
     scan of every subset in lexicographic order.
     """
-    n = g.n
-    tails, heads = g._columns
-    score = [0] * n
-    for u in tails:
-        score[u] += 1
-    for v in heads:
-        score[v] -= 1
-    order = sorted(range(n), key=score.__getitem__, reverse=True)
-    best: tuple[int, ...] | None = None
-    total = 0
-    for k in range(1, n):
-        total += score[order[k - 1]]
-        if total == k * (n - k):
-            candidate = tuple(sorted(order[:k]))
-            if best is None or candidate < best:
-                best = candidate
-    return None if best is None else DicutCertificate(frozenset(best))
+    side = g._dicut_side
+    return None if side is None else DicutCertificate(frozenset(side))

@@ -28,8 +28,10 @@ class StrictDigraph:
 
     The edge set is held as the frozenset of codes u * n + v, one per edge
     (u, v), with the edges' tails and heads as two parallel columns.  The
-    frozenset of (u, v) tuples, ``edges``, is built on first access.  Two
-    digraphs are equal when they have the same n and the same edges.
+    frozenset of (u, v) tuples, ``edges``, is built on first access, as are
+    the neighbour lists, the condensation and the complete-dicut side: each
+    once per digraph, shared, and left out of equality, hashing and repr.
+    Two digraphs are equal when they have the same n and the same edges.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] = frozenset()):
@@ -93,6 +95,92 @@ class StrictDigraph:
     def _in_lists(self) -> list[list[int]]:
         """In-neighbours of each vertex, as ``_out_lists`` has out-neighbours."""
         return _neighbour_lists(self.n, self._heads, self._tails)
+
+    @cached_property
+    def _condensation(self) -> Condensation:
+        """The condensation ``strong_components`` returns, built once."""
+        # the numbering below does not depend on the order Tarjan visits edges
+        # in, so the adjacency lists need no sorting
+        raw_of, raw_members, raw_succs = _tarjan_sccs(self.n, self._out_lists)
+        k = len(raw_members)
+        # in-degrees count every edge into a component, as the decrements do
+        indeg = [0] * k
+        for j in chain.from_iterable(raw_succs):
+            indeg[j] += 1
+        raw_sources = list(compress(range(k), map(not_, indeg)))
+        # components are keyed by their smallest vertex, which is unique
+        heap = [raw_members[i][0] for i in raw_sources]
+        heapify(heap)
+        order: list[int] = []
+        while heap:
+            i = raw_of[heappop(heap)]
+            order.append(i)
+            for j in raw_succs[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heappush(heap, raw_members[j][0])
+        # the inverse of the permutation order
+        renumber = sorted(range(k), key=order.__getitem__).__getitem__
+        component_of = tuple(map(renumber, raw_of))
+        components = tuple(map(raw_members.__getitem__, order))
+        successors = tuple(
+            frozenset(map(renumber, raw_succs[i])) if raw_succs[i] else _NO_SUCCESSORS
+            for i in order
+        )
+        # weak components by one undirected search over the quotient; starting
+        # from components in order of smallest vertex numbers them by smallest
+        # member
+        neighbours: list[list[int]] = [[*targets] for targets in successors]
+        for a, targets in enumerate(successors):
+            for b in targets:
+                neighbours[b].append(a)
+        weak_of = [-1] * k
+        groups: list[tuple[int, ...]] = []
+        firsts = sorted(map(itemgetter(0), components))
+        for start in map(component_of.__getitem__, firsts):
+            if not neighbours[start]:  # no quotient edge: a weak component of its own
+                groups.append((start,))
+                continue
+            if weak_of[start] >= 0:
+                continue
+            weak_of[start] = len(groups)
+            group = [start]
+            for cid in group:  # grows while it is read: a breadth-first search
+                for other in neighbours[cid]:
+                    if weak_of[other] < 0:
+                        weak_of[other] = weak_of[start]
+                        group.append(other)
+            group.sort()
+            groups.append(tuple(group))
+        return Condensation(
+            component_of=component_of,
+            components=components,
+            successors=successors,
+            source_components=frozenset(map(renumber, raw_sources)),
+            sink_components=frozenset(compress(range(k), map(not_, successors))),
+            weak_groups=tuple(groups),
+        )
+
+    @cached_property
+    def _dicut_side(self) -> tuple[int, ...] | None:
+        """Sorted side of the complete dicut ``find_complete_dicut`` reports,
+        or None: its score test, run once."""
+        n = self.n
+        score = [0] * n
+        for u in self._tails:
+            score[u] += 1
+        for v in self._heads:
+            score[v] -= 1
+        order = sorted(range(n), key=score.__getitem__, reverse=True)
+        best: tuple[int, ...] | None = None
+        total = 0
+        for k in range(1, n):
+            total += score[order[k - 1]]
+            if total == k * (n - k):
+                candidate = tuple(sorted(order[:k]))
+                if best is None or candidate < best:
+                    best = candidate
+        return best
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.n
@@ -441,69 +529,10 @@ def strong_components(g: StrictDigraph) -> Condensation:
 
     One Tarjan pass over the out-neighbour lists yields the components and
     the quotient; renumbering, sources, sinks and weak components then cost
-    time in the number of components and quotient edges only.
+    time in the number of components and quotient edges only.  It runs once
+    per digraph: every call on g returns the same immutable object.
     """
-    # the numbering below does not depend on the order Tarjan visits edges
-    # in, so the adjacency lists need no sorting
-    raw_of, raw_members, raw_succs = _tarjan_sccs(g.n, g._out_lists)
-    k = len(raw_members)
-    # in-degrees count every edge into a component, as the decrements do
-    indeg = [0] * k
-    for j in chain.from_iterable(raw_succs):
-        indeg[j] += 1
-    raw_sources = list(compress(range(k), map(not_, indeg)))
-    # components are keyed by their smallest vertex, which is unique
-    heap = [raw_members[i][0] for i in raw_sources]
-    heapify(heap)
-    order: list[int] = []
-    while heap:
-        i = raw_of[heappop(heap)]
-        order.append(i)
-        for j in raw_succs[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heappush(heap, raw_members[j][0])
-    # the inverse of the permutation order
-    renumber = sorted(range(k), key=order.__getitem__).__getitem__
-    component_of = tuple(map(renumber, raw_of))
-    components = tuple(map(raw_members.__getitem__, order))
-    successors = tuple(
-        frozenset(map(renumber, raw_succs[i])) if raw_succs[i] else _NO_SUCCESSORS
-        for i in order
-    )
-    # weak components by one undirected search over the quotient; starting
-    # from components in order of smallest vertex numbers them by smallest
-    # member
-    neighbours: list[list[int]] = [[*targets] for targets in successors]
-    for a, targets in enumerate(successors):
-        for b in targets:
-            neighbours[b].append(a)
-    weak_of = [-1] * k
-    groups: list[tuple[int, ...]] = []
-    firsts = sorted(map(itemgetter(0), components))
-    for start in map(component_of.__getitem__, firsts):
-        if not neighbours[start]:  # no quotient edge: a weak component of its own
-            groups.append((start,))
-            continue
-        if weak_of[start] >= 0:
-            continue
-        weak_of[start] = len(groups)
-        group = [start]
-        for cid in group:  # grows while it is read: a breadth-first search
-            for other in neighbours[cid]:
-                if weak_of[other] < 0:
-                    weak_of[other] = weak_of[start]
-                    group.append(other)
-        group.sort()
-        groups.append(tuple(group))
-    return Condensation(
-        component_of=component_of,
-        components=components,
-        successors=successors,
-        source_components=frozenset(map(renumber, raw_sources)),
-        sink_components=frozenset(compress(range(k), map(not_, successors))),
-        weak_groups=tuple(groups),
-    )
+    return g._condensation
 
 
 def is_strong(g: StrictDigraph) -> bool:

@@ -236,22 +236,6 @@ class _Growth:
         return added
 
 
-def _extend_from(g: StrictDigraph, cond: Condensation) -> ExtensionPlan:
-    """Strong extension of a connectable digraph g with condensation cond."""
-    if cond.r == 1:
-        return ExtensionPlan((), g)
-    added = []
-    if cond.c > 1:
-        added = _link_weak_components(cond)
-        if cond.s == cond.t == cond.c:
-            # every weak component has a source and a sink component, so
-            # here exactly one of each: its source reaches all of it and all
-            # of it reaches its sink, so the cycle of links makes g strong
-            return ExtensionPlan(tuple(added), g.with_edges(added))
-    added += _Growth(g, cond, added).grow()
-    return ExtensionPlan(tuple(added), g.with_edges(added))
-
-
 def extend(g: StrictDigraph) -> ExtensionPlan:
     """Strong extension of any strongly connectable digraph, at most r edges.
 
@@ -264,7 +248,19 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     """
     _require_order(g)
     _require_no_complete_dicut(g)
-    return _extend_from(g, strong_components(g))
+    cond = strong_components(g)
+    if cond.r == 1:
+        return ExtensionPlan((), g)
+    added = []
+    if cond.c > 1:
+        added = _link_weak_components(cond)
+        if cond.s == cond.t == cond.c:
+            # every weak component has a source and a sink component, so
+            # here exactly one of each: its source reaches all of it and all
+            # of it reaches its sink, so the cycle of links makes g strong
+            return ExtensionPlan(tuple(added), g.with_edges(added))
+    added += _Growth(g, cond, added).grow()
+    return ExtensionPlan(tuple(added), g.with_edges(added))
 
 
 def _link_weak_components(cond: Condensation) -> list[Edge]:
@@ -306,11 +302,7 @@ def bounds(g: StrictDigraph) -> BoundsReport:
     the exact minimum whenever the search budget allows it."""
     _require_order(g)
     _require_no_complete_dicut(g)
-    return _bounds_from(g, strong_components(g))
-
-
-def _bounds_from(g: StrictDigraph, cond: Condensation) -> BoundsReport:
-    """Bounds for a connectable digraph g with condensation cond."""
+    cond = strong_components(g)
     lower = max(cond.s, cond.t) if cond.r > 1 else 0
     all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
     upper_theorem = cond.r if (cond.c > 1 and all_weak_strong) else cond.r - 1

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -6,16 +7,28 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import strongext
 from strongext import (
+    DiceSet,
     StrictDigraph,
+    StrongExtError,
+    beats_digraph,
+    bounds,
+    extend,
+    find_complete_dicut,
     gen_bipartite_plus_isolated,
     gen_tt_minus_path,
+    is_balanced,
     is_strong,
+    parse_edge_list,
     serialize_edge_list,
+    strong_components,
+    win_matrix,
 )
-from strongext.cli import build_parser, main
+from strongext.cli import analyze, build_parser, main
+from strategies import dice_sets, strict_digraphs
 
 PATH3 = "n 3\n0 1\n1 2\n"
 CYCLE3 = "n 3\n0 1\n1 2\n2 0\n"
@@ -35,6 +48,21 @@ def count_calls(monkeypatch, name: str, *modules: str) -> list[str]:
 
     for module in modules:
         monkeypatch.setattr(sys.modules[module], name, counted)
+    return calls
+
+
+def count_builds(monkeypatch, cls, name: str) -> list[str]:
+    """Wrap the function behind the cached property ``name`` of ``cls``;
+    the returned list gets one entry per computation, none per cache hit."""
+    calls: list[str] = []
+    prop = vars(cls)[name]
+    original = prop.func
+
+    def counted(self):
+        calls.append(name)
+        return original(self)
+
+    monkeypatch.setattr(prop, "func", counted)
     return calls
 
 
@@ -142,15 +170,26 @@ class TestAnalyze:
     def test_condenses_once_inside_the_search_budget(
         self, capsys, write, monkeypatch
     ):
-        # the exact search reuses the report's condensation
-        calls = count_calls(
-            monkeypatch, "strong_components", "strongext.cli", "strongext.extend"
-        )
+        # the report, extend, bounds and the exact search share the
+        # digraph's one condensation and one dicut test
+        condensed = count_builds(monkeypatch, StrictDigraph, "_condensation")
+        tested = count_builds(monkeypatch, StrictDigraph, "_dicut_side")
         text = serialize_edge_list(gen_bipartite_plus_isolated(2, 3))
         code, out, _ = run(capsys, "analyze", write(text))
         assert code == 0
         assert "brute-min: 5\n" in out
-        assert calls == ["strong_components"]
+        assert condensed == ["_condensation"]
+        assert tested == ["_dicut_side"]
+
+    def test_reports_through_public_extend_and_bounds(
+        self, capsys, write, monkeypatch
+    ):
+        extended = count_calls(monkeypatch, "extend", "strongext.cli")
+        bounded = count_calls(monkeypatch, "bounds", "strongext.cli")
+        code, _, _ = run(capsys, "analyze", write(PATH3))
+        assert code == 0
+        assert extended == ["extend"]
+        assert bounded == ["bounds"]
 
     def test_connected_input_is_not_condensed_again(
         self, capsys, write, monkeypatch
@@ -418,12 +457,10 @@ class TestDiceEval:
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_builds_one_win_matrix(self, capsys, write, monkeypatch, extra):
-        calls = count_calls(
-            monkeypatch, "win_matrix", "strongext.cli", "strongext.dice"
-        )
+        calls = count_builds(monkeypatch, DiceSet, "_win_matrix")
         code, _, _ = run(capsys, "dice", "eval", write(ROCK_PAPER), *extra)
         assert code == 0
-        assert calls == ["win_matrix"]
+        assert calls == ["_win_matrix"]
 
     def test_bad_dice_file(self, capsys, write):
         code, _, err = run(capsys, "dice", "eval", write("1 2\n2 3\n"))
@@ -578,6 +615,41 @@ class TestPlumbing:
 
     def test_help(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestCachedDerivedData:
+    @settings(max_examples=200, deadline=None)
+    @given(strict_digraphs(min_n=1, max_n=6))
+    def test_earlier_queries_leave_analyze_unchanged(self, g):
+        text = serialize_edge_list(g)
+        fresh, used = parse_edge_list(text), parse_edge_list(text)
+        for query in (extend, bounds, find_complete_dicut, is_strong):
+            try:
+                query(used)
+            except StrongExtError:
+                pass
+        if g.n >= 3:
+            assert "_dicut_side" in vars(used)
+        # the caches take no part in equality, hashing or repr
+        assert vars(fresh).keys().isdisjoint(["_condensation", "_dicut_side"])
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        reports = analyze(fresh), analyze(used)
+        assert reports[1].to_text() == reports[0].to_text()
+        assert reports[1].to_json() == reports[0].to_json()
+        assert strong_components(used) is strong_components(used)
+
+    @given(dice_sets(min_dice=2))
+    def test_win_matrix_is_cached_on_the_frozen_set(self, d):
+        fresh = DiceSet(d.dice)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.dice = fresh.dice
+        is_balanced(d)
+        assert win_matrix(d) is vars(d)["_win_matrix"]
+        # the cache takes no part in equality, hashing or repr
+        assert "_win_matrix" not in vars(fresh)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert beats_digraph(d) == beats_digraph(fresh)
 
 
 class TestParserReuse:

@@ -252,17 +252,14 @@ GOLDEN = {
         '{"r": 3, "s": 1, "t": 1, "c": 1, "c_prime": 1, "u": 2}}\n'
     )),
     (TT3, 'extend'): (1, 'dicut: {0}\n'),
-    (TT3, 'extend --json'): (1, 'dicut: {0}\n'),
+    (TT3, 'extend --json'): (1, '{"dicut": [0]}\n'),
     (TT3, 'extend --minimize'): (1, (
         'no strong extension exists\n'
         'dicut: {0}\n'
     )),
-    (TT3, 'extend --minimize --json'): (1, (
-        'no strong extension exists\n'
-        'dicut: {0}\n'
-    )),
+    (TT3, 'extend --minimize --json'): (1, '{"dicut": [0]}\n'),
     (TT3, 'bounds'): (1, 'dicut: {0}\n'),
-    (TT3, 'bounds --json'): (1, 'dicut: {0}\n'),
+    (TT3, 'bounds --json'): (1, '{"dicut": [0]}\n'),
     (EDGELESS5, 'analyze'): (0, (
         'verdict: strongly-connectable\n'
         'r: 5\n'
