@@ -13,11 +13,9 @@ from .dice import (
     beats_digraph,
     is_balanced,
     parse_dice,
-    realizes,
     search_balanced_realization,
     serialize_dice,
     win_matrix,
-    win_probability,
 )
 from .dicut import (
     DicutCertificate,

@@ -126,13 +126,6 @@ def _win_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(bisect_left(b, x) for x in a)
 
 
-def win_probability(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-    """Probability that a roll of ``a`` strictly exceeds a roll of ``b``;
-    the two dice must form a valid dice set."""
-    a, b = _checked_dice((a, b))
-    return Fraction(_win_count(a, b), len(a) * len(b))
-
-
 @dataclass(frozen=True)
 class WinMatrix:
     """Pairwise win counts; entry (i, j) is how many of the sides * sides
@@ -192,15 +185,6 @@ def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
     return True, Fraction(tops.pop(), total)
 
 
-def realizes(d: DiceSet, h: StrictDigraph, direction: str = WINNER_TO_LOSER) -> bool:
-    """Whether every edge of ``h`` is an edge of the beats digraph of ``d``."""
-    if h.n != d.count:
-        raise InvalidDiceError(
-            f"target has {h.n} vertices but the set has {d.count} dice"
-        )
-    return all(map(beats_digraph(d, direction).has_edge, *h._columns))
-
-
 def _over_budget(n: int, k: int) -> bool:
     """Whether dealing faces 1..n*k into n dice of k faces each can be done
     in more than SEARCH_BUDGET ways.
@@ -221,6 +205,15 @@ def _over_budget(n: int, k: int) -> bool:
     return False
 
 
+def _has_cyclic_completion(h: StrictDigraph) -> bool:
+    """Whether some tournament on h's vertices containing h has a directed
+    cycle: whether a part between consecutive complete dicuts of h has 3 or
+    more vertices (the proof is in ``search_balanced_realization``)."""
+    _, sizes = h._dicut_chain
+    bounds = [0, *sizes, h.n]
+    return any(b - a >= 3 for a, b in zip(bounds, bounds[1:]))
+
+
 def search_balanced_realization(
     h: StrictDigraph, k: int, direction: str = WINNER_TO_LOSER
 ) -> DiceSet | None:
@@ -233,15 +226,31 @@ def search_balanced_realization(
     die with spare capacity, so the first hit is deterministic.  Returns
     None when no deal on these face counts works.
 
-    Faces arrive in increasing order, so a face v put on die i wins against
-    every face already on die j and loses to every later one: the win count
-    of i against j grows by |die j| and never shrinks.  Each of the
-    k - |die i| faces still to come on die i beats every face now on die j
-    and at most k faces of die j, so the final win count of i against j lies
-    in [wins[i][j] + (k - |die i|)·|die j|, wins[i][j] + (k - |die i|)·k].
-    A partial deal is abandoned as soon as no completion inside those ranges
-    can be accepted, which leaves the order of the accepted deals, and so
-    the first hit, unchanged.  One-face dice are answered with None at once.
+    Root cut.  An accepted deal's beats relation is a tournament containing
+    ``h`` (reversed for loser-to-winner, which keeps cycles) with a cycle,
+    so None is returned without dealing when no such tournament exists, as
+    for one-face dice.  ``h``'s complete dicuts form a chain splitting the
+    vertices into consecutive parts, every pair across two parts an edge of
+    ``h``, so a tournament containing ``h`` has its cycles inside parts:
+    parts of at most 2 vertices leave it transitive, while a part of 3 or
+    more has no complete dicut, so by the theorem it extends to a strong
+    digraph and completes to a strong tournament, which has a cycle.
+
+    Window.  Faces arrive in increasing order, so a face v put on die i wins
+    against every face already on die j and loses to every later one: the
+    win count of i against j grows by |die j| and never shrinks.  Each of
+    the k - |die i| faces still to come on die i beats every face now on die
+    j and at most k faces of die j, so the final win count of i against j
+    lies in [wins[i][j] + (k - |die i|)·|die j|, wins[i][j] + (k - |die i|)·k].
+    A pair's P is the larger of its two final counts, so every completion's
+    common P lies in the window [low, high] between the largest of the
+    pairs' least P (and k²/2 + 1) and the smallest of their greatest P.  A
+    face on die i changes only the n - 1 pairs through i, whose least P can
+    only rise and greatest P only fall, so each deal narrows the window it
+    was handed by those pairs alone and holds the window of all pairs.  A
+    deal is abandoned once the window is empty or an edge ``h`` needs can no
+    longer be won; no completion of it is accepted, so the order of the
+    accepted deals, and the first hit, stay unchanged.
     """
     if h.n < 3:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
@@ -256,41 +265,48 @@ def search_balanced_realization(
         )
     if k == 1:  # one-face dice are totally ordered: no beats cycle
         return None
+    if not _has_cyclic_completion(h):
+        return None
     n, total = h.n, k * k
-    # every pair must end at one common P > total / 2 wins for its winner
-    least = total // 2 + 1
+    last = n * k
     # beaten[i] lists the dice that h needs die i to beat
     beaten = h._out_lists if direction == WINNER_TO_LOSER else h._in_lists
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    others = [[j for j in range(n) if j != i] for i in range(n)]
     dice: list[list[int]] = [[] for _ in range(n)]
+    sizes = [0] * n
     wins = [[0] * n for _ in range(n)]
 
-    def feasible(i: int) -> bool:
-        """Whether the deal can still be completed after a face on die i."""
+    def narrow(i: int, low: int, high: int) -> tuple[int, int] | None:
+        """The window after a face on die i, or None when the deal can no
+        longer be completed."""
+        row, have = wins[i], sizes[i]
+        left = k - have
+        top = left * k
         # the most die i can still win against j drops only when a face
         # goes on i, so only the edges out of i need a look
-        row, top = wins[i], (k - len(dice[i])) * k
         for j in beaten[i]:
             if 2 * (row[j] + top) <= total:
-                return False
-        # the pair's P is max(x, total - x) for its final count x, and
-        # total - x is the other die's final count, so P is at least the
-        # larger of the two least final counts and at most the larger of
-        # the two greatest
-        low, high = least, total
-        for a, b in pairs:
-            left_a, left_b = k - len(dice[a]), k - len(dice[b])
-            x, y = wins[a][b], wins[b][a]
-            floor = max(x + left_a * len(dice[b]), y + left_b * len(dice[a]))
-            ceiling = max(x + left_a * k, y + left_b * k)
+                return None
+        for j in others[i]:
+            other = sizes[j]
+            left_j = k - other
+            x, y = row[j], wins[j][i]
+            floor, rival = x + left * other, y + left_j * have
+            if rival > floor:
+                floor = rival
+            ceiling, rival = x + top, y + left_j * k
+            if rival > ceiling:
+                ceiling = rival
             if floor > low:
                 low = floor
             if ceiling < high:
                 high = ceiling
-        return low <= high
+            if low > high:
+                return None
+        return low, high
 
-    def deal(value: int) -> bool:
-        if value > n * k:
+    def deal(value: int, low: int, high: int) -> bool:
+        if value > last:
             # every pair is decided at one P > total / 2 and h's edges are
             # won; what is left is whether the beats tournament has a cycle,
             # which holds iff two dice win the same number of pairs (the
@@ -299,22 +315,24 @@ def search_balanced_realization(
             scores = {sum(2 * c > total for c in row) for row in wins}
             return len(scores) < n
         for i in range(n):
-            die = dice[i]
-            if len(die) == k:
+            have = sizes[i]
+            if have == k:
                 continue
             row = wins[i]
-            for j in range(n):
-                if j != i:
-                    row[j] += len(dice[j])
-            die.append(value)
-            if feasible(i) and deal(value + 1):
+            for j in others[i]:
+                row[j] += sizes[j]
+            sizes[i] = have + 1
+            dice[i].append(value)
+            window = narrow(i, low, high)
+            if window is not None and deal(value + 1, *window):
                 return True
-            die.pop()
-            for j in range(n):
-                if j != i:
-                    row[j] -= len(dice[j])
+            dice[i].pop()
+            sizes[i] = have
+            for j in others[i]:
+                row[j] -= sizes[j]
         return False
 
-    if deal(1):
+    # every pair must end at one common P > total / 2 wins for its winner
+    if deal(1, total // 2 + 1, total):
         return DiceSet(tuple(tuple(die) for die in dice))
     return None

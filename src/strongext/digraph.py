@@ -162,9 +162,11 @@ class StrictDigraph:
         )
 
     @cached_property
-    def _dicut_side(self) -> tuple[int, ...] | None:
-        """Sorted side of the complete dicut ``find_complete_dicut`` reports,
-        or None: its score test, run once."""
+    def _dicut_chain(self) -> tuple[list[int], list[int]]:
+        """The score test, run once: the vertices sorted by out-degree minus
+        in-degree, descending, and the sizes of the prefixes of that order
+        that are complete dicuts, ascending.  Every complete dicut is such a
+        prefix (see ``find_complete_dicut``), so they form a chain."""
         n = self.n
         score = [0] * n
         for u in self._tails:
@@ -172,25 +174,26 @@ class StrictDigraph:
         for v in self._heads:
             score[v] -= 1
         order = sorted(range(n), key=score.__getitem__, reverse=True)
-        best: tuple[int, ...] | None = None
+        sizes: list[int] = []
         total = 0
         for k in range(1, n):
             total += score[order[k - 1]]
             if total == k * (n - k):
-                candidate = tuple(sorted(order[:k]))
-                if best is None or candidate < best:
-                    best = candidate
-        return best
+                sizes.append(k)
+        return order, sizes
+
+    @cached_property
+    def _dicut_side(self) -> tuple[int, ...] | None:
+        """Sorted side of the complete dicut ``find_complete_dicut`` reports,
+        or None: the chain's lexicographically smallest side."""
+        order, sizes = self._dicut_chain
+        if not sizes:
+            return None
+        return min(tuple(sorted(order[:k])) for k in sizes)
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.n
         return 0 <= u < n and 0 <= v < n and u * n + v in self._codes
-
-    def adjacent(self, u: int, v: int) -> bool:
-        n, codes = self.n, self._codes
-        if not (0 <= u < n and 0 <= v < n):
-            return False
-        return u * n + v in codes or v * n + u in codes
 
     def sorted_edges(self) -> list[Edge]:
         return list(map(divmod, sorted(self._codes), repeat(self.n)))
@@ -397,13 +400,6 @@ class Condensation:
     source_components: frozenset[int]
     sink_components: frozenset[int]
     weak_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def quotient_edges(self) -> frozenset[Edge]:
-        """Edges (a, b) of the quotient, one per pair of joined components."""
-        return frozenset(
-            (a, b) for a, targets in enumerate(self.successors) for b in targets
-        )
 
     @property
     def r(self) -> int:

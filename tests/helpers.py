@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
 from random import Random
 
 from strongext import (
+    WINNER_TO_LOSER,
     BudgetError,
     Condensation,
     DiceSet,
     DicutCertificate,
     ExtensionPlan,
+    InvalidDiceError,
     StrictDigraph,
     beats_digraph,
     is_balanced,
     is_strong,
     strong_components,
+    win_matrix,
 )
 
 # Largest vertex count brute_force_complete_dicut scans: 2^n subsets.
@@ -53,6 +57,35 @@ def _closure_masks(n: int, edges) -> list[int]:
 def reverse(g: StrictDigraph) -> StrictDigraph:
     """g with every edge turned around."""
     return StrictDigraph(g.n, frozenset((v, u) for u, v in g.edges))
+
+
+def adjacent(g: StrictDigraph, u: int, v: int) -> bool:
+    """Whether g has an edge between u and v, either way; false for a
+    vertex outside g."""
+    return g.has_edge(u, v) or g.has_edge(v, u)
+
+
+def quotient_edges(cond: Condensation) -> frozenset[tuple[int, int]]:
+    """Edges (a, b) of the quotient, one per pair of joined components."""
+    return frozenset(
+        (a, b) for a, targets in enumerate(cond.successors) for b in targets
+    )
+
+
+def win_probability(a, b) -> Fraction:
+    """Probability that a roll of ``a`` strictly exceeds a roll of ``b``;
+    the two dice must form a valid dice set, checked as ``DiceSet`` does."""
+    d = DiceSet((a, b))
+    return Fraction(win_matrix(d).counts[0][1], d.sides * d.sides)
+
+
+def realizes(d: DiceSet, h: StrictDigraph, direction: str = WINNER_TO_LOSER) -> bool:
+    """Whether every edge of ``h`` is an edge of the beats digraph of ``d``."""
+    if h.n != d.count:
+        raise InvalidDiceError(
+            f"target has {h.n} vertices but the set has {d.count} dice"
+        )
+    return h.edges <= beats_digraph(d, direction).edges
 
 
 def oracle_is_strong(g: StrictDigraph) -> bool:
@@ -329,7 +362,7 @@ def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
 
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.adjacent(u, v):
+            if not adjacent(g, u, v):
                 union(u, v)
     while True:
         directions: dict[tuple[int, int], set[bool]] = {}
@@ -408,20 +441,30 @@ def all_tournaments(n: int):
         yield StrictDigraph(n, frozenset(edges))
 
 
+def tournament_completions(g: StrictDigraph):
+    """Every tournament on g's vertices containing g: one per orientation
+    of the non-adjacent pairs."""
+    pairs = g.nonadjacent_pairs()
+    for states in itertools.product((1, 2), repeat=len(pairs)):
+        edges = set(g.edges)
+        for (u, v), state in zip(pairs, states):
+            edges.add((u, v) if state == 1 else (v, u))
+        yield StrictDigraph(g.n, frozenset(edges))
+
+
 def has_strong_completion(g: StrictDigraph) -> bool:
     """Whether some strict supergraph on the same vertices is strong.
 
     Strongness is monotone under edge addition, so it is enough to try
     every orientation of the non-adjacent pairs.
     """
-    pairs = g.nonadjacent_pairs()
-    for states in itertools.product((1, 2), repeat=len(pairs)):
-        edges = set(g.edges)
-        for (u, v), state in zip(pairs, states):
-            edges.add((u, v) if state == 1 else (v, u))
-        if oracle_is_strong(StrictDigraph(g.n, frozenset(edges))):
-            return True
-    return False
+    return any(map(oracle_is_strong, tournament_completions(g)))
+
+
+def oracle_has_cyclic_completion(g: StrictDigraph) -> bool:
+    """Whether some tournament containing g has a directed cycle, by trying
+    every one."""
+    return any(map(tournament_has_cycle, tournament_completions(g)))
 
 
 def random_digraph(rng: Random, n: int, density: float) -> StrictDigraph:
@@ -511,7 +554,7 @@ def criterion_sample(seed: int, count: int = 1000) -> list[StrictDigraph]:
 def quotient_reachable(cond, cid: int) -> frozenset[int]:
     """Component ids reachable from cid by a nonempty quotient path."""
     adj: dict[int, list[int]] = {}
-    for a, b in cond.quotient_edges:
+    for a, b in quotient_edges(cond):
         adj.setdefault(a, []).append(b)
     seen: set[int] = set()
     stack = list(adj.get(cid, []))

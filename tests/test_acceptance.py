@@ -27,7 +27,6 @@ from strongext import (
     serialize_edge_list,
     strong_components,
     verify_complete_dicut,
-    win_probability,
 )
 from strongext.cli import main
 
@@ -41,6 +40,7 @@ from helpers import (
     oracle_extend,
     oracle_is_strong,
     random_digraph,
+    win_probability,
 )
 
 SEED = 20260814

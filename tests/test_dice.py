@@ -18,25 +18,26 @@ from strongext import (
     is_balanced,
     is_strong,
     parse_dice,
-    realizes,
     search_balanced_realization,
     serialize_dice,
     strong_components,
     win_matrix,
-    win_probability,
 )
-from strongext.dice import SEARCH_BUDGET, _over_budget
+from strongext.dice import SEARCH_BUDGET, _has_cyclic_completion, _over_budget
 
 from helpers import (
     all_strict_digraphs,
     all_tournaments,
     isomorphism_class_representatives,
+    oracle_has_cyclic_completion,
     oracle_search_balanced_realization,
     oracle_win_count,
+    realizes,
     reverse,
     tournament_has_cycle,
+    win_probability,
 )
-from strategies import dice_sets
+from strategies import dice_sets, strict_digraphs
 
 ROCK_PAPER = DiceSet(((1, 5, 9), (3, 4, 8), (2, 6, 7)))
 ORDERED = DiceSet(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
@@ -303,6 +304,34 @@ class TestTournamentCycleCheck:
                 assert tournament_has_cycle(t) == (strong_components(t).r < t.n)
 
 
+class TestCyclicCompletion:
+    """The search's root cut: whether any tournament containing the target
+    has a cycle, against trying every orientation of the free pairs."""
+
+    def test_every_target_up_to_four_vertices(self):
+        for n in range(5):
+            for h in all_strict_digraphs(n):
+                expected = oracle_has_cyclic_completion(h)
+                assert _has_cyclic_completion(h) == expected, h
+                # reversing a tournament keeps its cycles
+                assert _has_cyclic_completion(reverse(h)) == expected, h
+
+    @given(strict_digraphs(min_n=5, max_n=6))
+    def test_five_and_six_vertices(self, h):
+        expected = oracle_has_cyclic_completion(h)
+        assert _has_cyclic_completion(h) == expected
+        assert _has_cyclic_completion(reverse(h)) == expected
+
+    def test_three_parts_of_two_leave_no_cycle(self):
+        # complete dicuts {0, 1} and {0, 1, 2, 3}; each part is a free pair
+        h = StrictDigraph(
+            6, [(u, v) for u in range(6) for v in range(6) if u // 2 < v // 2]
+        )
+        assert not _has_cyclic_completion(h)
+        for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+            assert search_balanced_realization(h, 2, direction) is None
+
+
 class TestSearch:
     def test_search_space(self):
         # the budget counts complete deals, (nk)! / (k!)^n
@@ -374,9 +403,10 @@ class TestSearchMatchesOracle:
 
     def test_four_vertex_classes_two_faces(self):
         for h in isomorphism_class_representatives(4):
-            assert search_balanced_realization(
-                h, 2
-            ) == oracle_search_balanced_realization(h, 2, WINNER_TO_LOSER)
+            for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+                assert search_balanced_realization(
+                    h, 2, direction
+                ) == oracle_search_balanced_realization(h, 2, direction)
 
     def test_three_vertex_classes_four_faces(self):
         for h in isomorphism_class_representatives(3):
