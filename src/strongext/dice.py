@@ -228,13 +228,15 @@ def search_balanced_realization(
 
     Root cut.  An accepted deal's beats relation is a tournament containing
     ``h`` (reversed for loser-to-winner, which keeps cycles) with a cycle,
-    so None is returned without dealing when no such tournament exists, as
-    for one-face dice.  ``h``'s complete dicuts form a chain splitting the
-    vertices into consecutive parts, every pair across two parts an edge of
-    ``h``, so a tournament containing ``h`` has its cycles inside parts:
-    parts of at most 2 vertices leave it transitive, while a part of 3 or
-    more has no complete dicut, so by the theorem it extends to a strong
-    digraph and completes to a strong tournament, which has a cycle.
+    so None is returned without dealing, at any k, when no such tournament
+    exists, as for one-face dice.  Only then is the deal budget checked:
+    BudgetError when there are more than SEARCH_BUDGET complete deals.
+    ``h``'s complete dicuts form a chain splitting the vertices into
+    consecutive parts, every pair across two parts an edge of ``h``, so a
+    tournament containing ``h`` has its cycles inside parts: parts of at
+    most 2 vertices leave it transitive, while a part of 3 or more has no
+    complete dicut, so by the theorem it extends to a strong digraph and
+    completes to a strong tournament, which has a cycle.
 
     Window.  Faces arrive in increasing order, so a face v put on die i wins
     against every face already on die j and loses to every later one: the
@@ -258,15 +260,14 @@ def search_balanced_realization(
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
     if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
         raise InvalidDiceError(f"unknown edge direction {direction!r}")
+    # one-face dice are totally ordered, so their beats relation has no cycle
+    if k == 1 or not _has_cyclic_completion(h):
+        return None
     if _over_budget(h.n, k):
         raise BudgetError(
             f"dealing {h.n} dice of {k} faces has more than "
             f"{SEARCH_BUDGET} complete deals, the search budget"
         )
-    if k == 1:  # one-face dice are totally ordered: no beats cycle
-        return None
-    if not _has_cyclic_completion(h):
-        return None
     n, total = h.n, k * k
     last = n * k
     # beaten[i] lists the dice that h needs die i to beat

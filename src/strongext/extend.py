@@ -53,8 +53,8 @@ class BoundsReport:
     ``lower_matched`` is None unless every strong component is a single
     vertex that is a source or a sink but not both.  ``upper_cyclic`` and
     ``upper_prop`` are None unless the input is disconnected (c > 1), and
-    ``brute_min`` is 0 for a strong input and otherwise None when the exact
-    search budget is exceeded.
+    ``brute_min`` is the exact minimum: 0 for a strong input of any size,
+    which needs no search, and None when the search's budget refuses it.
     """
 
     lower: int
@@ -316,9 +316,10 @@ def bounds(g: StrictDigraph) -> BoundsReport:
             ]
         )
         upper_prop = cond.s + cond.t - cond.c
-    brute_min = None
-    if cond.r == 1 or _search_budget_error(g) is None:
+    try:
         brute_min = len(_min_extension_search(g, cond))
+    except BudgetError:
+        brute_min = None
     return BoundsReport(
         lower=lower,
         lower_matched=_matched_bound(g, cond),
@@ -442,10 +443,11 @@ def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | N
     and a set uses each pair at most once.  Returns None when no strong
     extension exists at all.
 
-    A strong input gets 0, and one with a complete dicut None, before the
-    budget is checked: a complete dicut joins only adjacent pairs, so no
-    added edge crosses it.  Otherwise every source component needs an
-    added edge entering it and every sink component one leaving it, and
+    A strong input gets 0, and one with a complete dicut None, at any size
+    and with no search: a complete dicut joins only adjacent pairs, so no
+    added edge crosses it.  Only then does the search check its budget and
+    raise BudgetError past it.  Every source component needs an added
+    edge entering it and every sink component one leaving it, and
     one edge serves at most one of each: sizes below max(s, t) are skipped,
     and a partial set is abandoned when the picks left cannot serve the
     components still unserved, or when one of those has no serving candidate
@@ -455,34 +457,29 @@ def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | N
     """
     _require_order(g)
     cond = strong_components(g)
-    if cond.r > 1:
-        if find_complete_dicut(g) is not None:
-            return None
-        error = _search_budget_error(g)
-        if error is not None:
-            raise error
+    if cond.r > 1 and find_complete_dicut(g) is not None:
+        return None
     combo = _min_extension_search(g, cond)
     return len(combo), ExtensionPlan(combo, g.with_edges(combo))
 
 
-def _search_budget_error(g: StrictDigraph) -> BudgetError | None:
-    """The error for an input the exact search may not run on, or None when
-    g is inside its budget of vertices and non-adjacent (free) pairs."""
-    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
-    if free <= MIN_EXTENSION_PAIR_BUDGET and g.n <= MIN_EXTENSION_VERTEX_BUDGET:
-        return None
-    return BudgetError(
-        f"minimum-extension search supports at most {MIN_EXTENSION_PAIR_BUDGET} "
-        f"addable pairs on {MIN_EXTENSION_VERTEX_BUDGET} vertices; "
-        f"got {free} pairs on {g.n} vertices"
-    )
-
-
 def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, ...]:
     """First strong added-edge set in size-then-lexicographic order, given
-    the condensation cond of a digraph g with no complete dicut."""
+    the condensation cond of a digraph g with no complete dicut.
+
+    A strong g gets () with no search.  Otherwise the budget is checked
+    before anything is built: BudgetError unless g has at most
+    MIN_EXTENSION_VERTEX_BUDGET vertices and MIN_EXTENSION_PAIR_BUDGET
+    non-adjacent (free) pairs."""
     if cond.r == 1:
         return ()
+    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
+    if free > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
+        raise BudgetError(
+            f"minimum-extension search supports at most {MIN_EXTENSION_PAIR_BUDGET} "
+            f"addable pairs on {MIN_EXTENSION_VERTEX_BUDGET} vertices; "
+            f"got {free} pairs on {g.n} vertices"
+        )
     pairs = g.nonadjacent_pairs()
     full = (1 << g.n) - 1
     candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))

@@ -11,18 +11,24 @@ from hypothesis import given, settings
 
 import strongext
 from strongext import (
+    LOSER_TO_WINNER,
+    WINNER_TO_LOSER,
+    BudgetError,
     DiceSet,
     StrictDigraph,
     StrongExtError,
     beats_digraph,
     bounds,
+    brute_force_min_extension,
     extend,
     find_complete_dicut,
     gen_bipartite_plus_isolated,
+    gen_disjoint_cycles,
     gen_tt_minus_path,
     is_balanced,
     is_strong,
     parse_edge_list,
+    search_balanced_realization,
     serialize_edge_list,
     strong_components,
     win_matrix,
@@ -511,11 +517,20 @@ class TestDiceRealize:
         "graph, k", [("n 2000\n", "1"), (CYCLE3, "1000000000")]
     )
     def test_budget_on_huge_deal_counts(self, capsys, write, graph, k):
+        # one-face dice need no deal, so 2000! deals are answered, not
+        # refused; a billion faces on a 3-cycle need one and are refused
         code, out, err = run(capsys, "dice", "realize", write(graph), "-k", k)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("budget exceeded:")
         assert "Traceback" not in err
+        if k == "1":
+            assert (code, err) == (1, "")
+            assert out == (
+                "no balanced realization with 1-sided dice\n"
+                "no complete dicut found; larger dice may admit a realization\n"
+            )
+        else:
+            assert code == 3
+            assert out == ""
+            assert err.startswith("budget exceeded:")
 
     def test_json_success(self, capsys, write):
         code, out, _ = run(
@@ -542,6 +557,69 @@ class TestDiceRealize:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestSearchEntryOrder:
+    """Each exhaustive search checks its arguments, answers what needs no
+    search, and only then checks its one budget, before any setup."""
+
+    def test_no_search_answers_come_before_the_budget(self, capsys, write):
+        # a strong input and a complete dicut past the 10-vertex budget
+        cycle12 = gen_disjoint_cycles(12, 1)
+        tt11 = StrictDigraph(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+        assert bounds(cycle12).brute_min == 0
+        assert brute_force_min_extension(cycle12)[0] == 0
+        assert brute_force_min_extension(tt11) is None
+        code, out, _ = run(capsys, "bounds", write(serialize_edge_list(cycle12)))
+        assert code == 0 and out.endswith("brute-min: 0\n")
+        code, out, err = run(
+            capsys, "extend", write(serialize_edge_list(tt11)), "--minimize"
+        )
+        assert (code, out, err) == (1, "no strong extension exists\ndicut: {0}\n", "")
+        # TT5 has no cyclic completion and one-face dice never cycle; both
+        # are past the deal budget
+        tt5 = serialize_edge_list(
+            StrictDigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        )
+        for text, k in ((tt5, 3), ("n 2000\n", 1)):
+            h = parse_edge_list(text)
+            for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+                assert search_balanced_realization(h, k, direction) is None
+                code, out, err = run(
+                    capsys, "dice", "realize", write(text), "-k", str(k),
+                    "--direction", direction,
+                )
+                assert (code, err) == (1, "")
+                assert out.startswith(f"no balanced realization with {k}-sided dice\n")
+        # inputs that need a search are refused as before
+        edgeless11 = StrictDigraph(11)
+        assert bounds(edgeless11).brute_min is None
+        with pytest.raises(BudgetError) as refused:
+            brute_force_min_extension(edgeless11)
+        assert str(refused.value) == (
+            "minimum-extension search supports at most 24 addable pairs on "
+            "10 vertices; got 55 pairs on 11 vertices"
+        )
+        with pytest.raises(BudgetError) as refused:
+            search_balanced_realization(parse_edge_list(CYCLE3), 10**9)
+        assert str(refused.value) == (
+            "dealing 3 dice of 1000000000 faces has more than 10000000 "
+            "complete deals, the search budget"
+        )
+
+    def test_budget_comes_before_the_pair_list(self, capsys, write, monkeypatch):
+        # n 200 has 19 899 free pairs; listing them is the search's
+        # quadratic setup, which the budget must refuse first
+        def no_pairs(self):
+            raise AssertionError("listed the free pairs of an input over budget")
+
+        monkeypatch.setattr(StrictDigraph, "nonadjacent_pairs", no_pairs)
+        text = "n 200\n0 1\n"
+        assert bounds(parse_edge_list(text)).brute_min is None
+        report = analyze(parse_edge_list(text))
+        assert report.bounds_report.brute_min is None
+        code, out, _ = run(capsys, "analyze", write(text))
+        assert code == 0 and "brute-min" not in out
 
 
 class TestGen:
