@@ -91,13 +91,17 @@ class _Growth:
 
     ``label[v]`` is the live component holding vertex v.  Every live
     component keeps its vertex list and, as vertex bitmasks, its members,
-    everything it reaches (``down``) and everything that reaches it
-    (``up``), both including itself; ``sources`` holds the vertices of the
-    source components.  A merge keeps the largest component's id and
-    relabels the other vertices, so a vertex is relabelled only when its
-    component at least doubles.  Adding an edge walks the masks of the
-    components whose reach it grows and of those it merges, each component
-    once per mask.
+    everything it reaches including itself (``down``), and ``preds``, which
+    meets exactly the components with a quotient edge into it (a later merge
+    upstream leaves it holding only some of the merged vertices); a source
+    component is one whose ``preds`` is 0, and ``sources`` holds their
+    vertices.  No ancestor sets are kept: adding an edge searches backwards
+    over ``preds`` among what its head reaches for the cycle it closes, and
+    passes the head's reach to the tail's ancestors, stopping at any that
+    has it.  So an edge costs the components it merges or whose reach grows.
+    A merge keeps the largest component's id and relabels the other
+    vertices, so a vertex is relabelled only when its component at least
+    doubles.
     """
 
     def __init__(self, g: StrictDigraph, cond: Condensation, links: list[Edge]):
@@ -117,72 +121,68 @@ class _Growth:
         components = cond.components
         self.vertices = [[v for q in group for v in components[q]] for group in groups]
         self.live = len(groups)
-        self.members = [sum(1 << v for v in comp) for comp in self.vertices]
+        self.members = members = [sum(1 << v for v in comp) for comp in self.vertices]
         # order lists every component after its successors
-        down = self.members[:]
+        self.down = down = members[:]
+        self.preds = preds = [0] * len(groups)
         for cid in order:
             mask = down[cid]
             for b in successors[cid]:
                 mask |= down[b]
+                preds[b] |= members[cid]
             down[cid] = mask
-        up = self.members[:]
-        for cid in reversed(order):
-            mask = up[cid]
-            for b in successors[cid]:
-                up[b] |= mask
-        self.down, self.up = down, up
         # members are disjoint, so their sum is their union
-        self.sources = sum(m for m, reach in zip(self.members, up) if reach == m)
+        self.sources = sum(m for m, p in zip(members, preds) if not p)
         self.out_lists = g._out_lists
         self.out_masks: dict[int, int] = {}
 
+    def ancestors(self, start: int, within: int) -> tuple[list[int], int]:
+        """start and the components with a path to it inside within, a union
+        of components holding start, and the mask of their vertices."""
+        label, members, preds = self.label, self.members, self.preds
+        found, seen, front = [start], members[start], preds[start] & within
+        while front:
+            cid = label[(front & -front).bit_length() - 1]
+            found.append(cid)
+            seen |= members[cid]
+            front = (front | preds[cid] & within) & ~seen
+        return found, seen
+
     def add_edge(self, u: int, v: int):
         """Add u -> v and merge the components it closes a cycle through."""
-        label, members, up, down = self.label, self.members, self.up, self.down
-        above, below = up[label[u]], down[label[v]]
-        # a component that already reaches v's reaches all of below, and one
-        # that u's already reaches is reached from all of above
-        gaining_below = above & ~up[label[v]]
-        gaining_above = below & ~down[label[u]]
-        rest = gaining_below
-        while rest:
-            cid = label[(rest & -rest).bit_length() - 1]
-            down[cid] |= below
-            rest ^= members[cid]
-        rest = gaining_above
-        while rest:
-            cid = label[(rest & -rest).bit_length() - 1]
-            up[cid] |= above
-            rest ^= members[cid]
-        # the components from v's to u's, those inside both masks, now lie
-        # on a cycle through the edge
-        closed = above & below
-        cycle: list[int] = []
-        rest = closed
-        while rest:
-            cid = label[(rest & -rest).bit_length() - 1]
-            cycle.append(cid)
-            rest ^= members[cid]
-        if cycle:
-            # after the updates above they all have up = above, down = below
+        label, members, down, preds = self.label, self.members, self.down, self.preds
+        a, b = label[u], label[v]
+        below = down[b]
+        if below >> u & 1:
+            # the cycle: u's ancestors that v reaches; v reaches all paths between them
+            cycle, closed = self.ancestors(a, below)
             vertices = self.vertices
             root = max(cycle, key=lambda cid: len(vertices[cid]))
             for cid in cycle:
                 if cid != root:
+                    preds[root] |= preds[cid]
                     for x in vertices[cid]:
                         label[x] = root
                     vertices[root] += vertices[cid]
                     vertices[cid] = []
-                    members[cid] = up[cid] = down[cid] = 0
-            members[root] = closed
+                    members[cid] = down[cid] = preds[cid] = 0
+            members[root], down[root] = closed, below
+            front = preds[root] = preds[root] & ~closed
             self.live -= len(cycle) - 1
+            # only the merged component can change source status
+            self.sources = self.sources & ~closed | (0 if front else closed)
         else:
-            root = label[v]
-        # only the component receiving the edge can change source status
-        if up[root] == members[root]:
-            self.sources |= members[root]
-        else:
-            self.sources &= ~members[root]
+            preds[b] |= members[a]
+            self.sources &= ~members[b]
+            front = members[a]
+        # u's component and its ancestors that do not reach v yet now reach
+        # below; one that reaches v has every ancestor reaching it too
+        while front:
+            cid = label[(front & -front).bit_length() - 1]
+            front &= ~members[cid]
+            if not down[cid] >> v & 1:
+                down[cid] |= below
+                front |= preds[cid]
 
     def source_cut_pair(self) -> Edge | None:
         """Smallest pair (y, x) with y in a source component, x outside all
@@ -223,10 +223,10 @@ class _Growth:
                 raise AssertionError("source cut is complete; invariant violated")
             y, x = pick
             step = [(x, y)]
-            up_x = self.up[self.label[x]]
-            if not up_x >> y & 1:
-                preds = self.sources & up_x
-                step.append((y, (preds & -preds).bit_length() - 1))
+            if not self.down[self.label[y]] >> x & 1:
+                _, above = self.ancestors(self.label[x], self.all_vertices)
+                reaching = self.sources & above
+                step.append((y, (reaching & -reaching).bit_length() - 1))
             before = self.live
             for u, v in step:
                 self.add_edge(u, v)

@@ -34,12 +34,15 @@ from strongext.extend import (
     MIN_EXTENSION_PAIR_BUDGET,
     _best_cyclic_bound,
     _Growth,
+    _link_weak_components,
     _matched_bound,
     _max_matching,
 )
 
 from helpers import (
+    _mask_vertices,
     all_strict_digraphs,
+    closure_extend,
     held_karp_cyclic_cost,
     oracle_brute_force_min_extension,
     oracle_extend,
@@ -298,6 +301,89 @@ class TestExtendMatchesOracle:
     def test_returns_strong_input_unchanged(self):
         g = gen_disjoint_cycles(5, 1)
         assert extend(g).resulting is g
+
+
+def random_pairs_dag(rng: Random, n: int, shuffle: bool) -> StrictDigraph:
+    """2n distinct random pairs i < j as edges i -> j, optionally relabelled."""
+    edges = set()
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return disjoint_union(rng, [(n, edges)], shuffle)
+
+
+class TestGrowthMatchesClosureOracle:
+    """The growth state without ancestor sets against the closure-mask one,
+    at sizes past what the re-condensing oracle can reach."""
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_sparse_dags(self, n, shuffle):
+        g = random_pairs_dag(Random(n), n, shuffle)
+        assert find_complete_dicut(g) is None
+        added, resulting = closure_extend(g)
+        plan = extend(g)
+        assert plan.added == added
+        assert plan.resulting == resulting
+        assert len(added) < strong_components(g).r
+
+
+def assert_growth_state(growth: _Growth, h: StrictDigraph):
+    """growth describes the condensation of h: the same blocks, sources,
+    reach of every component and components entering it."""
+    cond = strong_components(h)
+    masks = [sum(1 << v for v in comp) for comp in cond.components]
+    live = [growth.label[comp[0]] for comp in cond.components]
+    assert growth.live == cond.r == len(set(live))
+    reach = masks[:]
+    entering: list[set[int]] = [set() for _ in masks]
+    for cid in reversed(range(cond.r)):  # quotient edges go to higher ids
+        for b in cond.successors[cid]:
+            reach[cid] |= reach[b]
+            entering[b].add(live[cid])
+    for cid, comp in enumerate(cond.components):
+        own = live[cid]
+        assert {growth.label[v] for v in comp} == {own}
+        assert sorted(growth.vertices[own]) == list(comp)
+        assert growth.members[own] == masks[cid]
+        assert growth.down[own] == reach[cid]
+        preds = {growth.label[v] for v in _mask_vertices(growth.preds[own])}
+        assert preds == entering[cid]
+    assert growth.sources == sum(masks[cid] for cid in cond.source_components)
+
+
+def assert_growth_invariant(g: StrictDigraph):
+    """Grow g as extend does, checking the state against a fresh
+    condensation before the first edge and after every added edge."""
+    cond = strong_components(g)
+    links = _link_weak_components(cond) if cond.c > 1 else []
+    h = g.with_edges(links)
+    growth = _Growth(g, cond, links)
+    assert_growth_state(growth, h)
+    added = []
+
+    def add_edge(u, v):
+        _Growth.add_edge(growth, u, v)
+        added.append((u, v))
+        assert_growth_state(growth, h.with_edges(added))
+
+    growth.add_edge = add_edge
+    assert tuple(growth.grow()) == tuple(added)
+    assert growth.live == 1
+
+
+class TestGrowthInvariant:
+    """After every added edge the growth state is the condensation of the
+    digraph so far; the pruned searches of ``add_edge`` rely on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(strict_digraphs(min_n=3, max_n=8))
+    def test_small(self, g):
+        assume(find_complete_dicut(g) is None)
+        assert_growth_invariant(g)
+
+    def test_seeded_corpus(self):
+        for g in oracle_corpus():
+            assert_growth_invariant(g)
 
 
 def per_weak_counts(cond) -> list[tuple[int, int]]:
