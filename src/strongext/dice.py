@@ -209,7 +209,7 @@ def _has_cyclic_completion(h: StrictDigraph) -> bool:
     """Whether some tournament on h's vertices containing h has a directed
     cycle: whether a part between consecutive complete dicuts of h has 3 or
     more vertices (the proof is in ``search_balanced_realization``)."""
-    _, sizes = h._dicut_chain
+    _, sizes, _ = h._dicut_chain
     bounds = [0, *sizes, h.n]
     return any(b - a >= 3 for a, b in zip(bounds, bounds[1:]))
 

@@ -7,6 +7,9 @@ so its originating side X certifies that no strong extension exists.
 
 ``find_complete_dicut`` decides by the score sequence d(v) = out(v) - in(v):
 one pass over the edges and a sort of the n vertices, run once per digraph.
+The same chain of prefix sums gives the smallest gap between k * (n - k)
+and a prefix's d-sum, from which ``StrictDigraph._score_strong`` proves a
+dense dicut-free digraph strong without condensing it.
 ``verify_complete_dicut`` checks a given side by counting the edges that
 leave and enter it, independently of the detector.  The references the
 detector is tested against, a scan of every subset and a block-merging

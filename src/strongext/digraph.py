@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, floordiv, itemgetter, mod, not_
 
 from .errors import ParseError
@@ -162,11 +162,14 @@ class StrictDigraph:
         )
 
     @cached_property
-    def _dicut_chain(self) -> tuple[list[int], list[int]]:
+    def _dicut_chain(self) -> tuple[list[int], list[int], int]:
         """The score test, run once: the vertices sorted by out-degree minus
-        in-degree, descending, and the sizes of the prefixes of that order
-        that are complete dicuts, ascending.  Every complete dicut is such a
-        prefix (see ``find_complete_dicut``), so they form a chain."""
+        in-degree, descending; the sizes of the prefixes of that order that
+        are complete dicuts, ascending; and the smallest gap k * (n - k)
+        minus the score sum of the size-k prefix, over 0 < k < n, or 0 when
+        n < 2.  Every complete dicut is such a prefix (see
+        ``find_complete_dicut``), so they form a chain, and a prefix is one
+        exactly when its gap is 0."""
         n = self.n
         score = [0] * n
         for u in self._tails:
@@ -174,19 +177,31 @@ class StrictDigraph:
         for v in self._heads:
             score[v] -= 1
         order = sorted(range(n), key=score.__getitem__, reverse=True)
-        sizes: list[int] = []
-        total = 0
-        for k in range(1, n):
-            total += score[order[k - 1]]
-            if total == k * (n - k):
-                sizes.append(k)
-        return order, sizes
+        totals = accumulate(map(score.__getitem__, order[:-1]))
+        gaps = [k * (n - k) - total for k, total in enumerate(totals, start=1)]
+        sizes = [k for k, gap in enumerate(gaps, start=1) if not gap]
+        return order, sizes, min(gaps, default=0)
+
+    @cached_property
+    def _score_strong(self) -> bool:
+        """Whether the score chain proves the digraph strong, with no search.
+
+        With f free (non-adjacent) pairs, a vertex set X of size k that no
+        edge enters has d-sum k * (n - k) minus the free pairs across X, so
+        the size-k prefix's gap is at most f.  A smallest gap above f thus
+        rules out every such X.  On tournaments (f = 0) this is exact.  The
+        first prefix's gap is at most n - 1, since the top score is at least
+        0, so f >= n - 1 is answered False before any scoring.
+        """
+        n = self.n
+        free = n * (n - 1) // 2 - len(self._codes)
+        return free < n - 1 and self._dicut_chain[2] > free
 
     @cached_property
     def _dicut_side(self) -> tuple[int, ...] | None:
         """Sorted side of the complete dicut ``find_complete_dicut`` reports,
         or None: the chain's lexicographically smallest side."""
-        order, sizes = self._dicut_chain
+        order, sizes, _ = self._dicut_chain
         if not sizes:
             return None
         return min(tuple(sorted(order[:k])) for k in sizes)
@@ -276,11 +291,11 @@ def _neighbour_lists(n: int, tails: list[int], heads: list[int]) -> list[list[in
 
 # Canonical edge-list text, as serialize_edge_list writes it: a header line
 # "n N" (at most 7 digits, so converting it is cheap), then only "u v" lines,
-# each ending in "\n".  _NOT_EDGE_LINE, searched from the header's newline,
-# finds the first line that is not a bare edge line.  A lookahead scan keeps
-# no backtracking marks, unlike matching the whole body as a repeated group.
+# each ending in "\n".  parse_edge_list screens the body after the header
+# in bulk: deleting its ASCII digits must leave exactly " \n" per line, the
+# body must be empty or end in "\n", and it must split into two tokens per
+# line, which rules out an empty token such as the first one of " 1\n".
 _CANONICAL_HEADER = re.compile(r"n ([0-9]{1,7})\n", re.ASCII)
-_NOT_EDGE_LINE = re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)", re.ASCII)
 
 
 def parse_edge_list(text: str) -> StrictDigraph:
@@ -291,28 +306,37 @@ def parse_edge_list(text: str) -> StrictDigraph:
     out-of-range indices raise a ParseError naming the offending line, and
     so does a vertex count above MAX_VERTICES.
 
-    Canonical text is read in bulk: split once, endpoints looked up in a
-    table of vertex ids, and the edge set checked as a whole.  Anything
-    else, including every invalid input, is read line by line, so errors
-    and their line numbers do not depend on which path ran.
+    Canonical text is read in bulk: screened by one translate, split once,
+    endpoints looked up in a table of vertex ids, and the edge set checked
+    as a whole.  Anything else, including every invalid input, is read line
+    by line, so errors and their line numbers do not depend on which path
+    ran.
     """
     header = _CANONICAL_HEADER.match(text)
-    if header is None or _NOT_EDGE_LINE.search(text, header.end() - 1):
+    if header is None:
         return _parse_lines(text)
     n = int(header[1])
-    if n > MAX_VERTICES:
+    body = text[header.end():]
+    lines = body.count("\n")
+    if (
+        n > MAX_VERTICES
+        or (body and not body.endswith("\n"))
+        or body.translate(str.maketrans("", "", "0123456789")) != " \n" * lines
+    ):
         return _parse_lines(text)
-    tokens = text.split()
+    tokens = body.split()
+    if len(tokens) != 2 * lines:
+        return _parse_lines(text)
     # the table covers at most one id per endpoint token, so a large
     # header with few edges stays cheap; larger ids take the line path
-    size = min(n, len(tokens) - 2)
+    size = min(n, len(tokens))
     ids = {str(i): i for i in range(size)}
     try:
-        ends = list(map(ids.__getitem__, islice(tokens, 2, None)))
+        tails = list(map(ids.__getitem__, islice(tokens, 0, None, 2)))
+        heads = list(map(ids.__getitem__, islice(tokens, 1, None, 2)))
     except KeyError:
         return _parse_lines(text)
     del tokens
-    tails, heads = ends[0::2], ends[1::2]
     # a table of u * n, indexed like ids; a list, so a lookup makes no int
     base = [u * n for u in range(size)]
     codes = frozenset(map(add, map(base.__getitem__, tails), heads))
@@ -532,5 +556,12 @@ def strong_components(g: StrictDigraph) -> Condensation:
 
 
 def is_strong(g: StrictDigraph) -> bool:
-    """True iff g has exactly one strong component; false on the empty graph."""
-    return g.n > 0 and len(_tarjan_sccs(g.n, g._out_lists)[1]) == 1
+    """True iff g has exactly one strong component; false on the empty graph.
+
+    A dense g whose score chain proves it strong (``_score_strong``) needs
+    no search; otherwise one Tarjan pass over the out-neighbour lists
+    decides.
+    """
+    return g._score_strong or (
+        g.n > 0 and len(_tarjan_sccs(g.n, g._out_lists)[1]) == 1
+    )

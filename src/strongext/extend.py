@@ -240,7 +240,9 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     """Strong extension of any strongly connectable digraph, at most r edges.
 
     Exactly r edges are used only when g is disconnected with every weak
-    component strong; otherwise at most r - 1.  The input is condensed once.
+    component strong; otherwise at most r - 1.  The input is condensed at
+    most once: a dense input whose score chain proves it strong
+    (``StrictDigraph._score_strong``) gets the empty plan uncondensed.
     A disconnected input is first linked into one cycle of its weak
     components; the construction then grows from the condensation of the
     linked digraph, merging components as it adds edges, and builds the
@@ -248,6 +250,8 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     """
     _require_order(g)
     _require_no_complete_dicut(g)
+    if g._score_strong:
+        return ExtensionPlan((), g)
     cond = strong_components(g)
     if cond.r == 1:
         return ExtensionPlan((), g)

@@ -39,6 +39,15 @@ def tournaments(draw, min_n: int = 1, max_n: int = 8) -> StrictDigraph:
 
 
 @st.composite
+def near_tournaments(draw, min_n: int = 2, max_n: int = 8) -> StrictDigraph:
+    """A tournament on at least 2 vertices with 1 to 5 of its edges dropped."""
+    t = draw(tournaments(min_n, max_n))
+    edges = sorted(t.edges)
+    dropped = draw(st.sets(st.sampled_from(edges), min_size=1, max_size=5))
+    return StrictDigraph(t.n, frozenset(edges) - dropped)
+
+
+@st.composite
 def dice_sets(draw, min_dice: int = 1, max_dice: int = 4, max_sides: int = 4) -> DiceSet:
     n = draw(st.integers(min_value=min_dice, max_value=max_dice))
     k = draw(st.integers(min_value=1, max_value=max_sides))

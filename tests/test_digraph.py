@@ -13,6 +13,7 @@ from strongext import (
     MAX_VERTICES,
     ParseError,
     StrictDigraph,
+    extend,
     find_complete_dicut,
     is_strong,
     parse_edge_list,
@@ -30,7 +31,7 @@ from helpers import (
     reverse,
     weak_components,
 )
-from strategies import strict_digraphs, strict_edge_sets
+from strategies import near_tournaments, strict_digraphs, strict_edge_sets, tournaments
 
 PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
 CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -164,9 +165,17 @@ class TestCodedForm:
         n, edges = drawn
         lines = [f"{u} {v}" for u, v in sorted(edges)]
         lines += rng.sample(lines, len(lines) // 2)
+        # enough endpoints that the id table covers every vertex id
+        lines += lines[:1] * n
         rng.shuffle(lines)
         text = f"n {n}\n" + "".join(f"{line}\n" for line in lines)
-        assert_matches_tuples(parse_edge_list(text), n, edges)
+        # canonical text must never reach the line reader
+        with mock.patch(
+            "strongext.digraph._parse_lines",
+            side_effect=AssertionError("canonical text was read line by line"),
+        ):
+            g = parse_edge_list(text)
+        assert_matches_tuples(g, n, edges)
 
     @given(strict_edge_sets(), st.randoms(use_true_random=False))
     def test_line_parse(self, drawn, rng):
@@ -415,6 +424,39 @@ class TestBulkParse:
     def test_edge_cases_match_line_reader(self, text):
         assert_parses_like_lines(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 4\n 1\n2 3\n",
+            "n 4\n0 1\n2 \n",
+            "n 4\n0 1\n \n",
+            "n 5\n0 1\n2 3\n4",
+            "n 5\n4",
+            "n 5\n0 1\n2 3\n4 ",
+            "n 3\n 1\n0",
+            "n 3\n1 \n0",
+            "n 3\n0  1\n",
+            "n 3\n0\t1\n",
+            "n 3\n0 1\r\n1 2\r\n",
+            "n 3\n0 1\n\n1 2\n",
+            "n 3\n\u0660 1\n",
+            "n 3\n0 \u0662\n",
+            "n 3\n01 2\n",
+            "n 3\n0 1\n00 2\n",
+            "n 3\n0 1 2\n",
+            "n 3\n0 1\n2\n",
+            "n 3",
+            "n 3\n\n",
+        ],
+    )
+    def test_screen_look_alikes_match_line_reader(self, text):
+        # near-canonical text: the screen must pass it to the line reader
+        with mock.patch(
+            "strongext.digraph._parse_lines", wraps=_parse_lines
+        ) as line_reader:
+            assert_parses_like_lines(text)
+        assert line_reader.called
+
     def test_large_header_builds_a_small_table(self):
         tracemalloc.start()
         try:
@@ -526,6 +568,54 @@ def _random_with_cut(rng: Random, n: int, density: float, cut: bool) -> StrictDi
         else:
             edges.add((u, v) if rng.random() < 0.5 else (v, u))
     return StrictDigraph(n, frozenset(edges))
+
+
+class TestScoreWitness:
+    """``_score_strong``, the score chain's proof of strongness: sound on
+    every digraph, exact on tournaments, and never claimed with n - 1 or
+    more free pairs."""
+
+    @given(st.one_of(strict_digraphs(), near_tournaments(max_n=9)))
+    def test_implies_strong(self, g):
+        if g._score_strong:
+            assert oracle_is_strong(g)
+
+    @given(tournaments(min_n=2, max_n=9))
+    def test_exact_on_tournaments(self, t):
+        assert t._score_strong == oracle_is_strong(t)
+
+    @given(st.one_of(strict_digraphs(), near_tournaments(max_n=9), tournaments()))
+    def test_never_with_many_free_pairs(self, g):
+        free = g.n * (g.n - 1) // 2 - len(g._columns[0])
+        if free >= g.n - 1:
+            assert not g._score_strong
+            # the chain agrees, so the shortcut skips no proof
+            assert g.n < 2 or g._dicut_chain[2] <= free
+
+    def test_sound_on_large_near_tournaments(self):
+        rng = Random(17)
+        proved = 0
+        for n in (10, 30, 60, 100):
+            for cut in (False, True):
+                for _ in range(4):
+                    edges = sorted(_random_with_cut(rng, n, 1.0, cut).edges)
+                    dropped = rng.sample(edges, rng.randint(1, 5))
+                    g = StrictDigraph(n, set(edges).difference(dropped))
+                    if g._score_strong:
+                        proved += 1
+                        assert strong_components(g).r == 1
+        assert proved > 0
+
+    def test_strong_dense_input_is_not_condensed(self):
+        text = serialize_edge_list(_random_with_cut(Random(5), 60, 1.0, False))
+        g = parse_edge_list(text)
+        assert g._score_strong
+        assert extend(g).added == ()
+        assert is_strong(g)
+        fresh = parse_edge_list(text)
+        assert is_strong(fresh)
+        for h in (g, fresh):
+            assert "_condensation" not in vars(h) and "_out_lists" not in vars(h)
 
 
 class TestIsStrong:
