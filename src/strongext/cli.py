@@ -169,8 +169,9 @@ def _key_lines(payload: dict) -> str:
 
 
 def _dump(payload: dict) -> str:
-    # one compact line: without indent, json uses its C encoder
-    return json.dumps(payload) + "\n"
+    # one compact line: without indent, json uses its C encoder.  Every
+    # payload is built fresh as a tree, which has no cycle to check for
+    return json.dumps(payload, check_circular=False) + "\n"
 
 
 def _read_text(path: str) -> str:

@@ -214,6 +214,20 @@ def _has_cyclic_completion(h: StrictDigraph) -> bool:
     return any(b - a >= 3 for a, b in zip(bounds, bounds[1:]))
 
 
+def _earlier_twins(h: StrictDigraph) -> list[int]:
+    """For each vertex, the nearest earlier vertex with the same out- and
+    in-neighbours in h, or -1.  Two such vertices are never adjacent: an
+    edge u -> v would make v one of u's out-neighbours, so one of its own."""
+    outs, ins = h._out_lists, h._in_lists
+    latest: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    twin = []
+    for v in range(h.n):
+        key = frozenset(outs[v]), frozenset(ins[v])
+        twin.append(latest.get(key, -1))
+        latest[key] = v
+    return twin
+
+
 def search_balanced_realization(
     h: StrictDigraph, k: int, direction: str = WINNER_TO_LOSER
 ) -> DiceSet | None:
@@ -253,6 +267,17 @@ def search_balanced_realization(
     deal is abandoned once the window is empty or an edge ``h`` needs can no
     longer be won; no completion of it is accepted, so the order of the
     accepted deals, and the first hit, stay unchanged.
+
+    Twins.  Dice i < j are twins when ``h`` has no edge between them and
+    gives them the same out- and in-neighbours, so swapping them maps ``h``
+    onto itself.  A face is never put on an empty die while an earlier twin
+    of it is empty too.  The swap fixes that partial deal and maps the
+    subtree below the face on the later twin onto the subtree below it on
+    the earlier one.  It keeps balance, the cycle and the edges of ``h``,
+    and so acceptance.  The earlier twin's subtree is searched first, and
+    the cuts above drop no accepted deal, so the search passes it only when
+    it holds no accepted deal, and then the skipped subtree holds none
+    either; the first hit is unchanged.
     """
     if h.n < 3:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
@@ -273,6 +298,7 @@ def search_balanced_realization(
     # beaten[i] lists the dice that h needs die i to beat
     beaten = h._out_lists if direction == WINNER_TO_LOSER else h._in_lists
     others = [[j for j in range(n) if j != i] for i in range(n)]
+    twin = _earlier_twins(h)
     dice: list[list[int]] = [[] for _ in range(n)]
     sizes = [0] * n
     wins = [[0] * n for _ in range(n)]
@@ -318,6 +344,10 @@ def search_balanced_realization(
         for i in range(n):
             have = sizes[i]
             if have == k:
+                continue
+            # empty twins fill in index order, so the nearest earlier twin
+            # is empty whenever any earlier one is
+            if not have and twin[i] >= 0 and not sizes[twin[i]]:
                 continue
             row = wins[i]
             for j in others[i]:

@@ -55,6 +55,9 @@ class BoundsReport:
     ``upper_prop`` are None unless the input is disconnected (c > 1), and
     ``brute_min`` is the exact minimum: 0 for a strong input of any size,
     which needs no search, and None when the search's budget refuses it.
+    Inside that budget, when max(lower, lower_matched) equals the smaller
+    of ``upper_theorem`` and ``upper_cyclic``, the bounds prove the minimum
+    and it is read off them without the search.
     """
 
     lower: int
@@ -320,13 +323,21 @@ def bounds(g: StrictDigraph) -> BoundsReport:
             ]
         )
         upper_prop = cond.s + cond.t - cond.c
-    try:
-        brute_min = len(_min_extension_search(g, cond))
-    except BudgetError:
-        brute_min = None
+    lower_matched = _matched_bound(g, cond)
+    floor = max(lower, lower_matched or 0)
+    ceiling = upper_theorem if upper_cyclic is None else min(upper_theorem, upper_cyclic)
+    if floor == ceiling and _within_search_budget(g):
+        # the bounds prove the minimum; the gate keeps brute-min on the
+        # inputs the search would answer
+        brute_min = floor
+    else:
+        try:
+            brute_min = len(_min_extension_search(g, cond))
+        except BudgetError:
+            brute_min = None
     return BoundsReport(
         lower=lower,
-        lower_matched=_matched_bound(g, cond),
+        lower_matched=lower_matched,
         upper_theorem=upper_theorem,
         upper_cyclic=upper_cyclic,
         upper_prop=upper_prop,
@@ -467,22 +478,31 @@ def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | N
     return len(combo), ExtensionPlan(combo, g.with_edges(combo))
 
 
+def _free_pairs(g: StrictDigraph) -> int:
+    return g.n * (g.n - 1) // 2 - len(g._columns[0])
+
+
+def _within_search_budget(g: StrictDigraph) -> bool:
+    """Whether the minimum-extension search takes g: at most
+    MIN_EXTENSION_VERTEX_BUDGET vertices and MIN_EXTENSION_PAIR_BUDGET
+    non-adjacent (free) pairs."""
+    return g.n <= MIN_EXTENSION_VERTEX_BUDGET and _free_pairs(g) <= MIN_EXTENSION_PAIR_BUDGET
+
+
 def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, ...]:
     """First strong added-edge set in size-then-lexicographic order, given
     the condensation cond of a digraph g with no complete dicut.
 
     A strong g gets () with no search.  Otherwise the budget is checked
-    before anything is built: BudgetError unless g has at most
-    MIN_EXTENSION_VERTEX_BUDGET vertices and MIN_EXTENSION_PAIR_BUDGET
-    non-adjacent (free) pairs."""
+    before anything is built: BudgetError unless ``_within_search_budget``
+    takes g."""
     if cond.r == 1:
         return ()
-    free = g.n * (g.n - 1) // 2 - len(g._columns[0])
-    if free > MIN_EXTENSION_PAIR_BUDGET or g.n > MIN_EXTENSION_VERTEX_BUDGET:
+    if not _within_search_budget(g):
         raise BudgetError(
             f"minimum-extension search supports at most {MIN_EXTENSION_PAIR_BUDGET} "
             f"addable pairs on {MIN_EXTENSION_VERTEX_BUDGET} vertices; "
-            f"got {free} pairs on {g.n} vertices"
+            f"got {_free_pairs(g)} pairs on {g.n} vertices"
         )
     pairs = g.nonadjacent_pairs()
     full = (1 << g.n) - 1

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,12 @@ from strongext import (
     strong_components,
     win_matrix,
 )
-from strongext.dice import SEARCH_BUDGET, _has_cyclic_completion, _over_budget
+from strongext.dice import (
+    SEARCH_BUDGET,
+    _earlier_twins,
+    _has_cyclic_completion,
+    _over_budget,
+)
 
 from helpers import (
     all_strict_digraphs,
@@ -425,6 +431,39 @@ class TestSearchMatchesOracle:
     def test_rejects_unknown_direction(self):
         with pytest.raises(InvalidDiceError):
             search_balanced_realization(CYCLE3, 3, "sideways")
+
+
+def swap_fixes(h: StrictDigraph, i: int, j: int) -> bool:
+    """Whether exchanging vertices i and j maps h's edges onto themselves."""
+    swap = {i: j, j: i}
+    return {(swap.get(u, u), swap.get(v, v)) for u, v in h.edges} == h.edges
+
+
+class TestTwins:
+    """The twin cut: dice that swap onto each other are filled in order."""
+
+    def test_matches_swaps_on_three_and_four_vertices(self):
+        for n in (3, 4):
+            for h in all_strict_digraphs(n):
+                expected = [
+                    max((i for i in range(j) if swap_fixes(h, i, j)), default=-1)
+                    for j in range(n)
+                ]
+                assert _earlier_twins(h) == expected, sorted(h.edges)
+
+    def test_search_matches_oracle_on_relabelled_twins(self):
+        # a seeded sample of the 115 labelled targets with a twin pair other
+        # than (0, 1); the oracle deals all 2 520 deals of each
+        targets = [
+            h
+            for h in all_strict_digraphs(4)
+            if any(i >= 0 and (i, j) != (0, 1) for j, i in enumerate(_earlier_twins(h)))
+        ]
+        for h in Random(4242).sample(targets, 16):
+            for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+                assert search_balanced_realization(
+                    h, 2, direction
+                ) == oracle_search_balanced_realization(h, 2, direction), sorted(h.edges)
 
 
 # The first hit of plain enumeration at k = 3 for the first labelled member

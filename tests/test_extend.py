@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from strongext import (
+    BoundsReport,
     BudgetError,
     DicutCertificate,
     ExtensionPlan,
@@ -37,6 +38,8 @@ from strongext.extend import (
     _link_weak_components,
     _matched_bound,
     _max_matching,
+    _min_extension_search,
+    _within_search_budget,
 )
 
 from helpers import (
@@ -517,11 +520,61 @@ class TestBounds:
         assume(find_complete_dicut(g) is None)
         report = bounds(g)
         added = len(extend(g).added)
+        # brute-min may be read off the bounds, so it is checked against the
+        # plain enumeration too
+        assert report.brute_min == oracle_brute_force_min_extension(g)[0]
         assert report.lower <= report.brute_min <= added <= report.upper_theorem
         if report.lower_matched is not None:
             assert report.lower_matched <= report.brute_min
         if report.upper_cyclic is not None:
             assert report.brute_min <= report.upper_cyclic <= report.upper_prop
+
+
+class TestBoundsShortcut:
+    """Inside the search budget, bounds that meet give brute-min without
+    the search; brute-min appears on the same inputs as before."""
+
+    @pytest.mark.parametrize(
+        "g, report",
+        [
+            (gen_disjoint_cycles(3, 2), BoundsReport(2, None, 2, 2, 2, 2)),
+            (StrictDigraph(5, frozenset()), BoundsReport(5, None, 5, 5, 5, 5)),
+            (K22_MINUS, BoundsReport(2, 3, 3, None, None, 3)),
+            (PATH_PLUS_ISOLATED, BoundsReport(2, None, 3, 2, 2, 2)),
+            (CYCLE3, BoundsReport(0, None, 0, None, None, 0)),
+        ],
+        ids=["cycles-3-2", "edgeless5", "k22-minus", "path-plus-isolated", "cycle3"],
+    )
+    def test_meeting_bounds_skip_the_search(self, monkeypatch, g, report):
+        def no_search(*args):
+            raise AssertionError("searched although the bounds meet")
+
+        module = sys.modules["strongext.extend"]
+        monkeypatch.setattr(module, "_min_extension_search", no_search)
+        assert bounds(g) == report
+
+    def test_meeting_bounds_outside_the_budget(self):
+        # n = 12 is past the search's vertex budget: the bounds meet at 4,
+        # yet brute-min stays None, as the search would leave it
+        report = bounds(gen_disjoint_cycles(3, 4))
+        assert report.lower == report.upper_theorem == report.upper_cyclic == 4
+        assert report.brute_min is None
+
+    def test_matches_the_search(self):
+        rng = Random(2020)
+        checked = met = 0
+        while checked < 3000:
+            g = random_digraph(rng, rng.randint(3, 9), rng.uniform(0.2, 1.0))
+            if not _within_search_budget(g) or find_complete_dicut(g) is not None:
+                continue
+            checked += 1
+            report = bounds(g)
+            searched = len(_min_extension_search(g, strong_components(g)))
+            assert report.brute_min == searched, sorted(g.edges)
+            ceiling = min(u for u in (report.upper_theorem, report.upper_cyclic) if u is not None)
+            met += report.lower > 0 and max(report.lower, report.lower_matched or 0) == ceiling
+        # the shortcut is taken on over 1 000 inputs, strong ones not counted
+        assert met > 1000
 
 
 def traced_matched_bound(g: StrictDigraph) -> tuple[int | None, int]:
