@@ -13,8 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .dice import (
     LOSER_TO_WINNER,
@@ -68,8 +67,7 @@ VERDICT_STRONG = "already-strong"
 VERDICT_TOO_SMALL = "too-small"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     verdict: str
     summary: Condensation | None = None
     certificate: DicutCertificate | None = None
@@ -146,8 +144,12 @@ def _plan_dict(plan: ExtensionPlan) -> dict:
 
 def _plan_text(plan: ExtensionPlan) -> str:
     """Added edges as ``+ u v`` lines, followed by the resulting edge list."""
-    added = "".join(f"+ {u} {v}\n" for u, v in plan.added)
-    return added + serialize_edge_list(plan.resulting)
+    return _added_lines(plan.added) + serialize_edge_list(plan.resulting)
+
+
+def _added_lines(added: tuple[Edge, ...]) -> str:
+    """The ``+ u v`` line of each added edge, as ``certify`` prints them."""
+    return "".join(f"+ {u} {v}\n" for u, v in added)
 
 
 def _graph_dict(g: StrictDigraph) -> dict:
@@ -155,7 +157,7 @@ def _graph_dict(g: StrictDigraph) -> dict:
 
 
 def _bounds_dict(report: BoundsReport) -> dict:
-    return dict(vars(report))  # the fields, in their declared order
+    return report._asdict()  # the fields, in their declared order
 
 
 def _key_lines(payload: dict) -> str:
@@ -197,9 +199,7 @@ def cmd_certify(args) -> int:
     g = _read_graph(args.file)
     if args.verify is not None:
         return _verify_certificate(g, _read_text(args.verify))
-    plan = extend(g)
-    for u, v in plan.added:
-        print(f"+ {u} {v}")
+    sys.stdout.write(_added_lines(extend(g).added))
     return 0
 
 
@@ -324,7 +324,7 @@ def cmd_dice_eval(args) -> int:
         print("balanced: n/a (single die)")
     elif not balanced:
         print("balanced: no")
-    elif p == Fraction(1, 2) or p == 1:
+    elif 2 * p == 1 or p == 1:
         print(f"balanced: yes (degenerate, p = {p})")
     else:
         print(f"balanced: yes (p = {p})")

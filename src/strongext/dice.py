@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 from .digraph import StrictDigraph
 from .errors import BudgetError, InvalidDiceError, ParseError, TooSmallError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 WINNER_TO_LOSER = "winner-to-loser"
 LOSER_TO_WINNER = "loser-to-winner"
@@ -22,19 +24,37 @@ LOSER_TO_WINNER = "loser-to-winner"
 SEARCH_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class DiceSet:
     """Dice with pairwise disjoint faces, each die the same number of sides.
 
     Faces are positive integers; each die's faces are stored sorted.  Any
-    iterable of dice is accepted and read one die at a time.  The win
-    matrix is computed once per set and left out of equality, hash and repr.
+    iterable of dice is accepted and read one die at a time.  The set is
+    immutable.  The win matrix is computed once per set and left out of
+    equality, hash and repr.
     """
 
     dice: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "dice", _checked_dice(self.dice))
+    def __init__(self, dice: Iterable[Iterable[int]]):
+        # past __setattr__, which refuses every assignment
+        vars(self)["dice"] = _checked_dice(dice)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: DiceSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: DiceSet is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dice == other.dice
+
+    def __hash__(self):
+        return hash((self.dice,))
+
+    def __repr__(self):
+        return f"DiceSet(dice={self.dice!r})"
 
     @property
     def count(self) -> int:
@@ -47,7 +67,7 @@ class DiceSet:
     @cached_property
     def _win_matrix(self) -> WinMatrix:
         """The matrix ``win_matrix`` returns; cached_property writes it to
-        the instance dict, past the frozen ``__setattr__``."""
+        the instance dict, past the refusing ``__setattr__``."""
         dice, count = self.dice, self.count
         counts = tuple(
             tuple(0 if i == j else _win_count(dice[i], dice[j]) for j in range(count))
@@ -126,8 +146,7 @@ def _win_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(bisect_left(b, x) for x in a)
 
 
-@dataclass(frozen=True)
-class WinMatrix:
+class WinMatrix(NamedTuple):
     """Pairwise win counts; entry (i, j) is how many of the sides * sides
     face pairs die i wins against die j."""
 
@@ -182,6 +201,10 @@ def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
     }
     if len(tops) != 1:
         return False, None
+    # imported where a probability is made, so that a process loads
+    # ``fractions`` only once it prints one
+    from fractions import Fraction
+
     return True, Fraction(tops.pop(), total)
 
 

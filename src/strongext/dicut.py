@@ -18,21 +18,44 @@ detector, are in the test suite's ``tests/helpers.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import sub
 
 from .digraph import StrictDigraph
 from .errors import InvalidCertificateError
 
 
-@dataclass(frozen=True)
 class DicutCertificate:
-    """Originating side X of a complete dicut."""
+    """Originating side X of a complete dicut, immutable.
+
+    Any iterable of vertices is accepted and held as the frozenset
+    ``origin``.  Two certificates are equal when their sides are.
+    """
 
     origin: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "origin", frozenset(self.origin))
+    def __init__(self, origin: Iterable[int]):
+        # past __setattr__, which refuses every assignment
+        vars(self)["origin"] = frozenset(origin)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to {name!r}: DicutCertificate is immutable"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: DicutCertificate is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.origin == other.origin
+
+    def __hash__(self):
+        return hash((self.origin,))
+
+    def __repr__(self):
+        return f"DicutCertificate(origin={self.origin!r})"
 
     def sorted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.origin))

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, floordiv, itemgetter, mod, not_
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -402,8 +402,7 @@ def serialize_edge_list(g: StrictDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     """Strong components plus the acyclic quotient and weak-component data.
 
     Component ids follow a deterministic topological order of the quotient:

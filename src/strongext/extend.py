@@ -12,7 +12,7 @@ in the test suite's ``tests/helpers.py``, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dicut import find_complete_dicut
 from .digraph import (
@@ -37,16 +37,14 @@ MIN_EXTENSION_PAIR_BUDGET = 24
 MIN_EXTENSION_VERTEX_BUDGET = 10
 
 
-@dataclass(frozen=True)
-class ExtensionPlan:
+class ExtensionPlan(NamedTuple):
     """Ordered edge additions that make the input strong, plus the result."""
 
     added: tuple[Edge, ...]
     resulting: StrictDigraph
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Bounds on the minimum number of added edges for a strong extension.
 
     ``lower`` is max(s, t), or 0 for an already strong input.

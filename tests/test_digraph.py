@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -670,8 +669,8 @@ class TestIsStrong:
 
 def assert_matches_oracle(g: StrictDigraph):
     cond, oracle = strong_components(g), oracle_strong_components(g)
-    for field in dataclasses.fields(cond):
-        assert getattr(cond, field.name) == getattr(oracle, field.name), field.name
+    for field in cond._fields:
+        assert getattr(cond, field) == getattr(oracle, field), field
     assert quotient_edges(cond) == quotient_edges(oracle)
 
 

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import strongext
@@ -31,3 +33,24 @@ def test_cli_imports_only_public_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_import_loads_no_record_or_fraction_machinery():
+    # dataclasses (which imports inspect) and fractions would add about
+    # 10 ms to every start of the command line; a fresh interpreter shows
+    # which modules importing the CLI adds to those that site loaded
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import strongext.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    root = str(Path(strongext.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, root],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "strongext.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"})
