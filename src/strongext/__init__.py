@@ -41,8 +41,6 @@ from .errors import (
     InvalidCertificateError,
     InvalidDiceError,
     InvalidInputError,
-    NotStrongError,
-    NotTournamentError,
     ParseError,
     StrongExtError,
     TooSmallError,
@@ -54,11 +52,9 @@ from .extend import (
     ExtensionPlan,
     bounds,
     brute_force_min_extension,
-    complete_to_tournament,
     extend,
     gen_bipartite_plus_isolated,
     gen_disjoint_cycles,
     gen_tt_minus_path,
-    hamiltonian_cycle_strong_tournament,
 )
 

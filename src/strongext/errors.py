@@ -21,14 +21,6 @@ class EmptyGraphError(TooSmallError):
     """Graph has no vertices at all."""
 
 
-class NotStrongError(StrongExtError):
-    """Operation requires a strongly connected digraph."""
-
-
-class NotTournamentError(StrongExtError):
-    """Operation requires every vertex pair to be adjacent."""
-
-
 class InvalidCertificateError(StrongExtError):
     """Certificate is structurally unusable: empty side, bad vertex, bad syntax."""
 

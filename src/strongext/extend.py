@@ -21,15 +21,12 @@ from .digraph import (
     Edge,
     StrictDigraph,
     _tarjan_sccs,
-    is_strong,
     strong_components,
 )
 from .errors import (
     BudgetError,
     HasCompleteDicutError,
     InvalidInputError,
-    NotStrongError,
-    NotTournamentError,
     TooSmallError,
 )
 
@@ -71,13 +68,14 @@ def _require_order(g: StrictDigraph):
         raise TooSmallError(f"need at least 3 vertices, got {g.n}")
 
 
-def _require_vertex_limit(n: int):
-    """Reject a generated vertex count the edge-list reader would refuse;
-    called before any edge is built."""
-    if n > MAX_VERTICES:
-        raise InvalidInputError(
-            f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
-        )
+def _require_size_limits(n: int, m: int):
+    """Reject a generated vertex count the edge-list reader would refuse, or
+    an edge count m above the same limit; called before any edge is built."""
+    for what, count in (("vertex", n), ("edge", m)):
+        if count > MAX_VERTICES:
+            raise InvalidInputError(
+                f"{what} count {count} exceeds the limit of {MAX_VERTICES}"
+            )
 
 
 def _require_no_complete_dicut(g: StrictDigraph):
@@ -324,15 +322,12 @@ def bounds(g: StrictDigraph) -> BoundsReport:
     lower_matched = _matched_bound(g, cond)
     floor = max(lower, lower_matched or 0)
     ceiling = upper_theorem if upper_cyclic is None else min(upper_theorem, upper_cyclic)
-    if floor == ceiling and _within_search_budget(g):
-        # the bounds prove the minimum; the gate keeps brute-min on the
-        # inputs the search would answer
-        brute_min = floor
+    if cond.r > 1 and not _within_search_budget(g):
+        brute_min = None  # past the search budget, even where the bounds meet
+    elif floor == ceiling:
+        brute_min = floor  # proved by the bounds; 0 for a strong input
     else:
-        try:
-            brute_min = len(_min_extension_search(g, cond))
-        except BudgetError:
-            brute_min = None
+        brute_min = len(_min_extension_search(g, cond))
     return BoundsReport(
         lower=lower,
         lower_matched=lower_matched,
@@ -580,77 +575,6 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
     raise AssertionError("no strong extension of a dicut-free digraph")
 
 
-def complete_to_tournament(g: StrictDigraph) -> StrictDigraph:
-    """Orient every missing pair low-to-high; strongness is preserved."""
-    if not is_strong(g):
-        raise NotStrongError("digraph is not strongly connected")
-    return g.with_edges(g.nonadjacent_pairs())
-
-
-def hamiltonian_cycle_strong_tournament(t: StrictDigraph) -> list[int]:
-    """Spanning directed cycle of a strong tournament.
-
-    Starts from a directed triangle and grows the cycle.  A vertex with both
-    an in-neighbour and an out-neighbour on the cycle can be inserted between
-    some consecutive pair.  When no single vertex qualifies, every remaining
-    vertex either beats the whole cycle or loses to it, and strongness forces
-    an edge from a loser to a winner; that pair is spliced in together.  The
-    result is rotated to start at its smallest vertex.
-    """
-    _require_order(t)
-    if len(t._columns[0]) != t.n * (t.n - 1) // 2:
-        raise NotTournamentError("every vertex pair must be adjacent")
-    if not is_strong(t):
-        raise NotStrongError("tournament is not strongly connected")
-    cycle = _initial_triangle(t)
-    in_cycle = set(cycle)
-    remaining = [v for v in range(t.n) if v not in in_cycle]
-    while remaining:
-        if not _insert_single(t, cycle, remaining):
-            _splice_pair(t, cycle, remaining)
-    pos = cycle.index(min(cycle))
-    return cycle[pos:] + cycle[:pos]
-
-
-def _initial_triangle(t: StrictDigraph) -> list[int]:
-    for a in range(t.n):
-        for b in range(a + 1, t.n):
-            for c in range(b + 1, t.n):
-                if t.has_edge(a, b) and t.has_edge(b, c) and t.has_edge(c, a):
-                    return [a, b, c]
-                if t.has_edge(a, c) and t.has_edge(c, b) and t.has_edge(b, a):
-                    return [a, c, b]
-    raise AssertionError("strong tournament without a directed triangle")
-
-
-def _insert_single(t: StrictDigraph, cycle: list[int], remaining: list[int]) -> bool:
-    for idx, v in enumerate(remaining):
-        for i in range(len(cycle)):
-            a = cycle[i]
-            b = cycle[(i + 1) % len(cycle)]
-            if t.has_edge(a, v) and t.has_edge(v, b):
-                cycle.insert(i + 1, v)
-                del remaining[idx]
-                return True
-    return False
-
-
-def _splice_pair(t: StrictDigraph, cycle: list[int], remaining: list[int]):
-    winners = [v for v in remaining if all(t.has_edge(v, c) for c in cycle)]
-    losers = [v for v in remaining if all(t.has_edge(c, v) for c in cycle)]
-    if len(winners) + len(losers) != len(remaining):
-        raise AssertionError("a remaining vertex could have been inserted singly")
-    for s in losers:
-        for d in winners:
-            if t.has_edge(s, d):
-                cycle.insert(1, d)
-                cycle.insert(1, s)
-                remaining.remove(s)
-                remaining.remove(d)
-                return
-    raise AssertionError("no loser-to-winner edge; tournament cannot be strong")
-
-
 def gen_tt_minus_path(r: int) -> StrictDigraph:
     """Transitive tournament on r vertices minus its spanning path.
 
@@ -659,7 +583,7 @@ def gen_tt_minus_path(r: int) -> StrictDigraph:
     """
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got {r}")
-    _require_vertex_limit(r)
+    _require_size_limits(r, (r - 1) * (r - 2) // 2)
     edges = {(i, j) for i in range(r) for j in range(i + 2, r)}
     return StrictDigraph(r, frozenset(edges))
 
@@ -669,7 +593,7 @@ def gen_bipartite_plus_isolated(p: int, q: int) -> StrictDigraph:
     isolated vertex; its minimum strong extension needs exactly p + q edges."""
     if p < 1 or q < 1:
         raise InvalidInputError("need p >= 1 and q >= 1")
-    _require_vertex_limit(p + q + 1)
+    _require_size_limits(p + q + 1, p * q)
     edges = {(i, p + j) for i in range(p) for j in range(q)}
     return StrictDigraph(p + q + 1, frozenset(edges))
 
@@ -680,7 +604,7 @@ def gen_disjoint_cycles(k: int, m: int) -> StrictDigraph:
         raise InvalidInputError(f"cycle length must be at least 3, got {k}")
     if m < 1:
         raise InvalidInputError(f"need at least one cycle, got {m}")
-    _require_vertex_limit(k * m)
+    _require_size_limits(k * m, k * m)
     edges = set()
     for c in range(m):
         base = c * k

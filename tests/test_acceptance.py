@@ -19,7 +19,6 @@ from strongext import (
     find_complete_dicut,
     gen_bipartite_plus_isolated,
     gen_tt_minus_path,
-    hamiltonian_cycle_strong_tournament,
     is_balanced,
     is_strong,
     parse_certificate,
@@ -33,7 +32,6 @@ from strongext.cli import main
 from conftest import record_verdict
 from helpers import (
     all_strict_digraphs,
-    all_tournaments,
     brute_force_complete_dicut,
     criterion_sample,
     has_strong_completion,
@@ -180,20 +178,6 @@ def test_criterion_08_three_dice_realizability():
         for h in all_strict_digraphs(3):
             found = search_balanced_realization(h, 3)
             assert (found is not None) == (find_complete_dicut(h) is None)
-
-
-def test_criterion_09_tournament_cycles():
-    label = "every strong tournament with n <= 6 yields a valid spanning cycle"
-    with criterion(9, label):
-        for n in range(3, 7):
-            for t in all_tournaments(n):
-                if not is_strong(t):
-                    continue
-                cycle = hamiltonian_cycle_strong_tournament(t)
-                assert sorted(cycle) == list(range(n))
-                assert all(
-                    (cycle[i], cycle[(i + 1) % n]) in t.edges for i in range(n)
-                )
 
 
 def test_criterion_10_certificate_round_trip(capsys, tmp_path):

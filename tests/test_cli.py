@@ -782,20 +782,40 @@ class TestFreshProcess:
         assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize(
-        "params, n",
+        "params, stderr",
         [
-            (("cycles", "3", "400000"), 1_200_000),
-            (("bipartite", "500000", "500000"), 1_000_001),
+            # each id names the refused count
+            pytest.param(
+                ("cycles", "3", "400000"),
+                "error: vertex count 1200000 exceeds the limit of 1000000\n",
+                id="params0-1200000",
+            ),
+            pytest.param(
+                ("bipartite", "500000", "500000"),
+                "error: vertex count 1000001 exceeds the limit of 1000000\n",
+                id="params1-1000001",
+            ),
+            pytest.param(
+                ("tt-minus-path", "1000000"),
+                "error: edge count 499998500001 exceeds the limit of 1000000\n",
+                id="params2-499998500001",
+            ),
+            pytest.param(
+                ("bipartite", "1000", "1001"),
+                "error: edge count 1001000 exceeds the limit of 1000000\n",
+                id="params3-1001000",
+            ),
         ],
     )
-    def test_gen_vertex_limit(self, params, n):
-        # gen refuses the count before building any edge; the 1 GiB
-        # address-space cap makes a missing check fail fast (the bipartite
-        # family would build 2.5 * 10**11 edges) instead of filling memory
+    def test_gen_vertex_limit(self, params, stderr):
+        # gen refuses the vertex or edge count before building any edge; the
+        # 1 GiB address-space cap makes a missing check fail fast (the first
+        # bipartite case would build 2.5 * 10**11 edges) instead of filling
+        # memory
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         done = self.cli((), "gen", *params, preexec_fn=cap)
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == f"error: vertex count {n} exceeds the limit of 1000000\n"
+        assert done.stderr == stderr

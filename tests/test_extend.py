@@ -13,19 +13,15 @@ from strongext import (
     ExtensionPlan,
     HasCompleteDicutError,
     InvalidInputError,
-    NotStrongError,
-    NotTournamentError,
     StrictDigraph,
     TooSmallError,
     bounds,
     brute_force_min_extension,
-    complete_to_tournament,
     extend,
     find_complete_dicut,
     gen_bipartite_plus_isolated,
     gen_disjoint_cycles,
     gen_tt_minus_path,
-    hamiltonian_cycle_strong_tournament,
     is_strong,
     parse_edge_list,
     strong_components,
@@ -54,7 +50,7 @@ from helpers import (
     random_strong_blob,
     weak_components,
 )
-from strategies import strict_digraphs, tournaments
+from strategies import strict_digraphs
 
 PATH3 = StrictDigraph(3, [(0, 1), (1, 2)])
 CYCLE3 = StrictDigraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -876,86 +872,6 @@ class TestBruteForceMatchesOracle:
             assert oracle_brute_force_min_extension(g) is None
 
 
-class TestTournamentCompletion:
-    def test_cycle_is_already_tournament(self):
-        assert complete_to_tournament(CYCLE3) == CYCLE3
-
-    def test_four_cycle(self):
-        g = gen_disjoint_cycles(4, 1)
-        t = complete_to_tournament(g)
-        assert t.edges == g.edges | {(0, 2), (1, 3)}
-        assert is_strong(t)
-
-    def test_five_cycle(self):
-        t = complete_to_tournament(gen_disjoint_cycles(5, 1))
-        assert len(t.edges) == 10
-        assert is_strong(t)
-
-    def test_rejects_non_strong(self):
-        with pytest.raises(NotStrongError):
-            complete_to_tournament(PATH3)
-
-    @settings(max_examples=100)
-    @given(strict_digraphs(min_n=3, max_n=7))
-    def test_preserves_strength(self, g):
-        # overlay the draw on a spanning cycle to get a strong input
-        edges = {(i, (i + 1) % g.n) for i in range(g.n)}
-        for u, v in g.edges:
-            if (u, v) not in edges and (v, u) not in edges:
-                edges.add((u, v))
-        strong = StrictDigraph(g.n, frozenset(edges))
-        t = complete_to_tournament(strong)
-        assert len(t.edges) == t.n * (t.n - 1) // 2
-        assert is_strong(t)
-
-
-def assert_valid_hamiltonian_cycle(t: StrictDigraph, cycle: list[int]):
-    assert sorted(cycle) == list(range(t.n))
-    for i, v in enumerate(cycle):
-        assert t.has_edge(v, cycle[(i + 1) % len(cycle)])
-
-
-class TestHamiltonianCycle:
-    def test_three_cycle(self):
-        assert hamiltonian_cycle_strong_tournament(CYCLE3) == [0, 1, 2]
-
-    def test_completed_four_cycle(self):
-        t = complete_to_tournament(gen_disjoint_cycles(4, 1))
-        cycle = hamiltonian_cycle_strong_tournament(t)
-        assert_valid_hamiltonian_cycle(t, cycle)
-
-    def test_rotational_five_tournament(self):
-        edges = [(i, (i + 1) % 5) for i in range(5)]
-        edges += [(i, (i + 2) % 5) for i in range(5)]
-        t = StrictDigraph(5, edges)
-        cycle = hamiltonian_cycle_strong_tournament(t)
-        assert_valid_hamiltonian_cycle(t, cycle)
-
-    def test_starts_at_smallest_vertex(self):
-        t = complete_to_tournament(gen_disjoint_cycles(4, 1))
-        assert hamiltonian_cycle_strong_tournament(t)[0] == 0
-
-    def test_rejects_small(self):
-        with pytest.raises(TooSmallError):
-            hamiltonian_cycle_strong_tournament(
-                StrictDigraph(2, [(0, 1)])
-            )
-
-    def test_rejects_non_tournament(self):
-        with pytest.raises(NotTournamentError):
-            hamiltonian_cycle_strong_tournament(PATH3)
-
-    def test_rejects_non_strong(self):
-        with pytest.raises(NotStrongError):
-            hamiltonian_cycle_strong_tournament(TT3)
-
-    @settings(max_examples=150)
-    @given(tournaments(min_n=3, max_n=8))
-    def test_random_strong_tournaments(self, t):
-        assume(is_strong(t))
-        assert_valid_hamiltonian_cycle(t, hamiltonian_cycle_strong_tournament(t))
-
-
 class TestGenerators:
     def test_tt_minus_path_small(self):
         assert gen_tt_minus_path(3).edges == frozenset({(0, 2)})
@@ -974,6 +890,11 @@ class TestGenerators:
     def test_tt_minus_path_rejects_small(self):
         with pytest.raises(InvalidInputError):
             gen_tt_minus_path(2)
+
+    def test_tt_minus_path_rejects_edge_count_past_limit(self):
+        # 1416 vertices are allowed, but 1415 * 1414 / 2 = 1 000 405 edges are not
+        with pytest.raises(InvalidInputError, match="edge count 1000405 exceeds"):
+            gen_tt_minus_path(1416)
 
     def test_bipartite_plus_isolated(self):
         g = gen_bipartite_plus_isolated(1, 1)

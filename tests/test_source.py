@@ -54,3 +54,25 @@ def test_cli_import_loads_no_record_or_fraction_machinery():
     loaded = set(done.stdout.split())
     assert "strongext.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"})
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # a public name that no other module of the package loads has no
+    # caller outside the tests; imports do not count as uses
+    package = Path(strongext.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    loaded = {
+        node.id
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(exported) >= 40
+    assert sorted(exported - loaded) == []
