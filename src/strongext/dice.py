@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .digraph import StrictDigraph
+from .digraph import StrictDigraph, _Frozen
 from .errors import BudgetError, InvalidDiceError, ParseError, TooSmallError
 
 if TYPE_CHECKING:
@@ -24,7 +24,7 @@ LOSER_TO_WINNER = "loser-to-winner"
 SEARCH_BUDGET = 10_000_000
 
 
-class DiceSet:
+class DiceSet(_Frozen):
     """Dice with pairwise disjoint faces, each die the same number of sides.
 
     Faces are positive integers; each die's faces are stored sorted.  Any
@@ -34,27 +34,10 @@ class DiceSet:
     """
 
     dice: tuple[tuple[int, ...], ...]
+    _key = ("dice",)
 
     def __init__(self, dice: Iterable[Iterable[int]]):
-        # past __setattr__, which refuses every assignment
         vars(self)["dice"] = _checked_dice(dice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: DiceSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: DiceSet is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dice == other.dice
-
-    def __hash__(self):
-        return hash((self.dice,))
-
-    def __repr__(self):
-        return f"DiceSet(dice={self.dice!r})"
 
     @property
     def count(self) -> int:

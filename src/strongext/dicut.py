@@ -21,11 +21,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import sub
 
-from .digraph import StrictDigraph
+from .digraph import StrictDigraph, _Frozen
 from .errors import InvalidCertificateError
 
 
-class DicutCertificate:
+class DicutCertificate(_Frozen):
     """Originating side X of a complete dicut, immutable.
 
     Any iterable of vertices is accepted and held as the frozenset
@@ -33,29 +33,10 @@ class DicutCertificate:
     """
 
     origin: frozenset[int]
+    _key = ("origin",)
 
     def __init__(self, origin: Iterable[int]):
-        # past __setattr__, which refuses every assignment
         vars(self)["origin"] = frozenset(origin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"cannot assign to {name!r}: DicutCertificate is immutable"
-        )
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: DicutCertificate is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.origin == other.origin
-
-    def __hash__(self):
-        return hash((self.origin,))
-
-    def __repr__(self):
-        return f"DicutCertificate(origin={self.origin!r})"
 
     def sorted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.origin))
@@ -97,10 +78,9 @@ def verify_complete_dicut(g: StrictDigraph, cert: DicutCertificate) -> bool:
     inside = [False] * g.n
     for v in side:
         inside[v] = True
-    tails, heads = g._columns
     # +1 for an edge leaving the side, -1 for one entering it, 0 otherwise
     crossing = list(
-        map(sub, map(inside.__getitem__, tails), map(inside.__getitem__, heads))
+        map(sub, map(inside.__getitem__, g._tails), map(inside.__getitem__, g._heads))
     )
     if -1 in crossing:
         return False

@@ -23,28 +23,57 @@ Edge = tuple[int, int]
 MAX_VERTICES = 1_000_000
 
 
-class StrictDigraph:
+class _Frozen:
+    """Immutable value: assignment and deletion are refused, and two values
+    of one class are equal, and hash alike, when the attributes named in its
+    tuple ``_key`` are.  Constructors and ``cached_property`` write into the
+    instance dict, past ``__setattr__``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to {name!r}: {type(self).__name__} is immutable"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete {name!r}: {type(self).__name__} is immutable"
+        )
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._key)
+        return f"{type(self).__name__}({fields})"
+
+
+class StrictDigraph(_Frozen):
     """Immutable strict digraph; invalid edge sets are rejected on construction.
 
     The edge set is held as the frozenset of codes u * n + v, one per edge
-    (u, v), with the edges' tails and heads as two parallel columns.  The
-    frozenset of (u, v) tuples, ``edges``, is built on first access, as are
-    the neighbour lists, the condensation and the complete-dicut side: each
-    once per digraph, shared, and left out of equality, hashing and repr.
-    Two digraphs are equal when they have the same n and the same edges.
+    (u, v), with the edges' tails and heads as two parallel columns that
+    readers share and must not modify.  The frozenset of (u, v) tuples,
+    ``edges``, is built on first access, as are the neighbour lists, the
+    condensation and the complete-dicut side: each once per digraph,
+    shared, and left out of equality, hashing and repr.  Two digraphs are
+    equal when they have the same n and the same edges.
     """
+
+    _key = ("n", "_codes")
 
     def __init__(self, n: int, edges: Iterable[Edge] = frozenset()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         codes, tails, heads = _strict_columns(n, edges)
-        self._init(n, frozenset(codes), tails, heads)
-
-    def _init(
-        self, n: int, codes: frozenset[int], tails: list[int], heads: list[int]
-    ):
-        # past __setattr__, which refuses every assignment
-        vars(self).update(n=n, _codes=codes, _tails=tails, _heads=heads)
+        vars(self).update(n=n, _codes=frozenset(codes), _tails=tails, _heads=heads)
 
     @classmethod
     def _trusted(
@@ -53,22 +82,8 @@ class StrictDigraph:
         """Digraph from validated codes and their columns, one entry per
         edge; the caller hands the lists over and must not modify them."""
         result = object.__new__(cls)
-        result._init(n, codes, tails, heads)
+        vars(result).update(n=n, _codes=codes, _tails=tails, _heads=heads)
         return result
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: StrictDigraph is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: StrictDigraph is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self._codes == other._codes
-
-    def __hash__(self):
-        return hash((self.n, self._codes))
 
     def __repr__(self):
         return f"StrictDigraph(n={self.n}, edges={self.sorted_edges()!r})"
@@ -77,12 +92,6 @@ class StrictDigraph:
     def edges(self) -> frozenset[Edge]:
         """The edges as (u, v) tuples; built on first access."""
         return frozenset(zip(self._tails, self._heads))
-
-    @property
-    def _columns(self) -> tuple[list[int], list[int]]:
-        """Tails and heads of the edges, in matching order, one entry per
-        edge; shared, so callers must not modify them."""
-        return self._tails, self._heads
 
     @cached_property
     def _out_lists(self) -> list[list[int]]:
@@ -193,9 +202,13 @@ class StrictDigraph:
         first prefix's gap is at most n - 1, since the top score is at least
         0, so f >= n - 1 is answered False before any scoring.
         """
-        n = self.n
-        free = n * (n - 1) // 2 - len(self._codes)
-        return free < n - 1 and self._dicut_chain[2] > free
+        free = self._free_pairs
+        return free < self.n - 1 and self._dicut_chain[2] > free
+
+    @property
+    def _free_pairs(self) -> int:
+        """Number of unordered non-adjacent (free) vertex pairs."""
+        return self.n * (self.n - 1) // 2 - len(self._codes)
 
     @cached_property
     def _dicut_side(self) -> tuple[int, ...] | None:

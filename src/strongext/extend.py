@@ -471,15 +471,11 @@ def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | N
     return len(combo), ExtensionPlan(combo, g.with_edges(combo))
 
 
-def _free_pairs(g: StrictDigraph) -> int:
-    return g.n * (g.n - 1) // 2 - len(g._columns[0])
-
-
 def _within_search_budget(g: StrictDigraph) -> bool:
     """Whether the minimum-extension search takes g: at most
     MIN_EXTENSION_VERTEX_BUDGET vertices and MIN_EXTENSION_PAIR_BUDGET
     non-adjacent (free) pairs."""
-    return g.n <= MIN_EXTENSION_VERTEX_BUDGET and _free_pairs(g) <= MIN_EXTENSION_PAIR_BUDGET
+    return g.n <= MIN_EXTENSION_VERTEX_BUDGET and g._free_pairs <= MIN_EXTENSION_PAIR_BUDGET
 
 
 def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, ...]:
@@ -495,14 +491,12 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
         raise BudgetError(
             f"minimum-extension search supports at most {MIN_EXTENSION_PAIR_BUDGET} "
             f"addable pairs on {MIN_EXTENSION_VERTEX_BUDGET} vertices; "
-            f"got {_free_pairs(g)} pairs on {g.n} vertices"
+            f"got {g._free_pairs} pairs on {g.n} vertices"
         )
     pairs = g.nonadjacent_pairs()
     full = (1 << g.n) - 1
     candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
     count = len(candidates)
-    pair_of = {pair: i for i, pair in enumerate(pairs)}
-    keys = [pair_of[min(u, v), max(u, v)] for u, v in candidates]
     # one bit per need: bit i for the i-th source component, which needs an
     # entering edge, bit s + i for the i-th sink component, which needs a
     # leaving one; serves[j] holds the needs candidate j meets
@@ -525,10 +519,9 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
     source_bits = (1 << cond.s) - 1
     out_mask = [0] * g.n
     in_mask = [0] * g.n
-    for u, v in zip(*g._columns):
+    for u, v in zip(g._tails, g._heads):
         out_mask[u] |= 1 << v
         in_mask[v] |= 1 << u
-    used = [False] * len(pairs)
     chosen: list[int] = []
 
     def reaches_all(adj: list[int]) -> bool:
@@ -553,10 +546,11 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
             if j < stop and unmet >> i & 1:
                 stop = j
         for j in range(start, stop + 1):
-            if used[keys[j]]:
-                continue
             u, v = candidates[j]
-            used[keys[j]] = True
+            # u, v are non-adjacent in g, so the bit is set only once v -> u
+            # is picked: a set uses each pair at most once
+            if out_mask[v] >> u & 1:
+                continue
             out_mask[u] |= 1 << v
             in_mask[v] |= 1 << u
             chosen.append(j)
@@ -565,7 +559,6 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
             chosen.pop()
             out_mask[u] ^= 1 << v
             in_mask[v] ^= 1 << u
-            used[keys[j]] = False
         return False
 
     unmet = (1 << cond.s + cond.t) - 1

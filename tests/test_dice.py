@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from strongext import (
     LOSER_TO_WINNER,

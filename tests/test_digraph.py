@@ -130,7 +130,7 @@ def assert_matches_tuples(g: StrictDigraph, n: int, edges: frozenset):
     assert g.n == n
     assert g.edges == edges
     assert g.sorted_edges() == sorted(edges)
-    assert sorted(zip(*g._columns)) == sorted(edges)  # one entry per edge
+    assert sorted(zip(g._tails, g._heads)) == sorted(edges)  # one entry per edge
     assert [sorted(out) for out in g._out_lists] == [
         sorted(v for u, v in edges if u == x) for x in range(n)
     ]
@@ -585,7 +585,7 @@ class TestScoreWitness:
 
     @given(st.one_of(strict_digraphs(), near_tournaments(max_n=9), tournaments()))
     def test_never_with_many_free_pairs(self, g):
-        free = g.n * (g.n - 1) // 2 - len(g._columns[0])
+        free = g.n * (g.n - 1) // 2 - len(g._tails)
         if free >= g.n - 1:
             assert not g._score_strong
             # the chain agrees, so the shortcut skips no proof

@@ -76,3 +76,39 @@ def test_every_export_has_a_caller_in_the_package():
     }
     assert len(exported) >= 40
     assert sorted(exported - loaded) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never loads; ``from __future__`` is
+    exempt, since it binds no name the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in loaded
+    ]
+
+
+def test_no_unused_imports():
+    # an import that nothing reads costs load time and hides which
+    # dependencies a module really has; the package's __init__ only
+    # re-exports, so its imports are its public names
+    package = Path(strongext.__file__).parent
+    tests = Path(__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py"))
+    assert len(paths) >= 15
+    assert [found for path in paths for found in _unused_imports(path)] == []
