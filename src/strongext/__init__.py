@@ -6,6 +6,7 @@ The names imported below are the package's public interface.
 
 from .dice import (
     LOSER_TO_WINNER,
+    MAX_DICE,
     SEARCH_BUDGET,
     WINNER_TO_LOSER,
     DiceSet,

@@ -104,5 +104,6 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     lexicographically smallest sorted vertex list is returned, matching a
     scan of every subset in lexicographic order.
     """
-    side = g._dicut_side
-    return None if side is None else DicutCertificate(frozenset(side))
+    order, sizes, _ = g._dicut_chain
+    side = min((sorted(order[:k]) for k in sizes), default=None)
+    return None if side is None else DicutCertificate(side)

@@ -62,9 +62,9 @@ class StrictDigraph(_Frozen):
     (u, v), with the edges' tails and heads as two parallel columns that
     readers share and must not modify.  The frozenset of (u, v) tuples,
     ``edges``, is built on first access, as are the neighbour lists, the
-    condensation and the complete-dicut side: each once per digraph,
-    shared, and left out of equality, hashing and repr.  Two digraphs are
-    equal when they have the same n and the same edges.
+    condensation and the score chain: each once per digraph, shared, and
+    left out of equality, hashing and repr.  Two digraphs are equal when
+    they have the same n and the same edges.
     """
 
     _key = ("n", "_codes")
@@ -191,7 +191,7 @@ class StrictDigraph(_Frozen):
         sizes = [k for k, gap in enumerate(gaps, start=1) if not gap]
         return order, sizes, min(gaps, default=0)
 
-    @cached_property
+    @property
     def _score_strong(self) -> bool:
         """Whether the score chain proves the digraph strong, with no search.
 
@@ -209,15 +209,6 @@ class StrictDigraph(_Frozen):
     def _free_pairs(self) -> int:
         """Number of unordered non-adjacent (free) vertex pairs."""
         return self.n * (self.n - 1) // 2 - len(self._codes)
-
-    @cached_property
-    def _dicut_side(self) -> tuple[int, ...] | None:
-        """Sorted side of the complete dicut ``find_complete_dicut`` reports,
-        or None: the chain's lexicographically smallest side."""
-        order, sizes, _ = self._dicut_chain
-        if not sizes:
-            return None
-        return min(tuple(sorted(order[:k])) for k in sizes)
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.n
@@ -571,9 +562,6 @@ def is_strong(g: StrictDigraph) -> bool:
     """True iff g has exactly one strong component; false on the empty graph.
 
     A dense g whose score chain proves it strong (``_score_strong``) needs
-    no search; otherwise one Tarjan pass over the out-neighbour lists
-    decides.
+    no search; otherwise g's one condensation decides.
     """
-    return g._score_strong or (
-        g.n > 0 and len(_tarjan_sccs(g.n, g._out_lists)[1]) == 1
-    )
+    return g._score_strong or strong_components(g).r == 1

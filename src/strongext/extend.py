@@ -21,6 +21,7 @@ from .digraph import (
     Edge,
     StrictDigraph,
     _tarjan_sccs,
+    is_strong,
     strong_components,
 )
 from .errors import (
@@ -241,7 +242,7 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     Exactly r edges are used only when g is disconnected with every weak
     component strong; otherwise at most r - 1.  The input is condensed at
     most once: a dense input whose score chain proves it strong
-    (``StrictDigraph._score_strong``) gets the empty plan uncondensed.
+    (``is_strong``) gets the empty plan uncondensed.
     A disconnected input is first linked into one cycle of its weak
     components; the construction then grows from the condensation of the
     linked digraph, merging components as it adds edges, and builds the
@@ -249,11 +250,9 @@ def extend(g: StrictDigraph) -> ExtensionPlan:
     """
     _require_order(g)
     _require_no_complete_dicut(g)
-    if g._score_strong:
+    if is_strong(g):
         return ExtensionPlan((), g)
     cond = strong_components(g)
-    if cond.r == 1:
-        return ExtensionPlan((), g)
     added = []
     if cond.c > 1:
         added = _link_weak_components(cond)
@@ -307,8 +306,7 @@ def bounds(g: StrictDigraph) -> BoundsReport:
     _require_no_complete_dicut(g)
     cond = strong_components(g)
     lower = max(cond.s, cond.t) if cond.r > 1 else 0
-    all_weak_strong = all(len(group) == 1 for group in cond.weak_groups)
-    upper_theorem = cond.r if (cond.c > 1 and all_weak_strong) else cond.r - 1
+    upper_theorem = cond.r if (cond.c > 1 and cond.c_prime == 0) else cond.r - 1
     upper_cyclic = upper_prop = None
     if cond.c > 1:
         sources, sinks = cond.source_components, cond.sink_components

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import strongext
 from strongext import (
     LOSER_TO_WINNER,
+    MAX_DICE,
     WINNER_TO_LOSER,
     BudgetError,
     DiceSet,
@@ -178,13 +179,13 @@ class TestAnalyze:
         # the report, extend, bounds and the exact search share the
         # digraph's one condensation and one dicut test
         condensed = count_builds(monkeypatch, StrictDigraph, "_condensation")
-        tested = count_builds(monkeypatch, StrictDigraph, "_dicut_side")
+        tested = count_builds(monkeypatch, StrictDigraph, "_dicut_chain")
         text = serialize_edge_list(gen_bipartite_plus_isolated(2, 3))
         code, out, _ = run(capsys, "analyze", write(text))
         assert code == 0
         assert "brute-min: 5\n" in out
         assert condensed == ["_condensation"]
-        assert tested == ["_dicut_side"]
+        assert tested == ["_dicut_chain"]
 
     def test_reports_through_public_extend_and_bounds(
         self, capsys, write, monkeypatch
@@ -467,6 +468,20 @@ class TestDiceEval:
         assert code == 0
         assert calls == ["_win_matrix"]
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_dice_count_limit(self, capsys, write, monkeypatch, extra):
+        # one die past the limit is refused at its line, before any win
+        # count is made
+        calls = count_builds(monkeypatch, DiceSet, "_win_matrix")
+        text = "".join(f"{face}\n" for face in range(1, MAX_DICE + 2))
+        code, out, err = run(capsys, "dice", "eval", write(text), *extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line {MAX_DICE + 1}: "
+            f"dice count exceeds the limit of {MAX_DICE}\n"
+        )
+        assert calls == []
+
     def test_bad_dice_file(self, capsys, write):
         code, _, err = run(capsys, "dice", "eval", write("1 2\n2 3\n"))
         assert code == 2
@@ -706,9 +721,9 @@ class TestCachedDerivedData:
             except StrongExtError:
                 pass
         if g.n >= 3:
-            assert "_dicut_side" in vars(used)
+            assert "_dicut_chain" in vars(used)
         # the caches take no part in equality, hashing or repr
-        assert vars(fresh).keys().isdisjoint(["_condensation", "_dicut_side"])
+        assert vars(fresh).keys().isdisjoint(["_condensation", "_dicut_chain"])
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         reports = analyze(fresh), analyze(used)

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from strongext import (
     LOSER_TO_WINNER,
+    MAX_DICE,
     WINNER_TO_LOSER,
     BudgetError,
     DiceSet,
@@ -147,6 +148,17 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ParseError, match="^line 1: need at least one die$"):
             parse_dice("# nothing\n")
+
+    def test_dice_count_limit(self):
+        def one_face_dice(count: int) -> str:
+            return "".join(f"{face}\n" for face in range(1, count + 1))
+
+        assert parse_dice(one_face_dice(MAX_DICE)).count == MAX_DICE
+        message = f"^line {MAX_DICE + 1}: dice count exceeds the limit of {MAX_DICE}$"
+        with pytest.raises(ParseError, match=message):
+            parse_dice(one_face_dice(MAX_DICE + 1))
+        with pytest.raises(InvalidDiceError, match="limit"):
+            DiceSet([face] for face in range(1, MAX_DICE + 2))
 
     def test_round_trip(self):
         assert parse_dice(serialize_dice(ROCK_PAPER)) == ROCK_PAPER

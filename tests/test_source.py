@@ -112,3 +112,54 @@ def test_no_unused_imports():
     paths += sorted(tests.glob("*.py"))
     assert len(paths) >= 15
     assert [found for path in paths for found in _unused_imports(path)] == []
+
+
+def _functions(tree: ast.Module):
+    """Qualified name and node of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_cached_builds():
+    # a digraph caches its columns' views and two derived builds, the
+    # condensation and the score chain, and a dice set its win matrix;
+    # every strongness and dicut answer reads those, and Tarjan runs only
+    # inside the condensation and the growth state's linked quotient
+    package = Path(strongext.__file__).parent
+    cached: dict[str, set[str]] = {}
+    tarjan_callers = set()
+    for path in sorted(package.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            owner, _, attr = name.rpartition(".")
+            decorators = (ast.unparse(d).rpartition(".")[2] for d in node.decorator_list)
+            if "cached_property" in decorators:
+                cached.setdefault(owner, set()).add(attr)
+            if any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "_tarjan_sccs"
+                for call in ast.walk(node)
+            ):
+                tarjan_callers.add(name)
+    expected = {
+        "StrictDigraph": {
+            "edges", "_out_lists", "_in_lists", "_condensation", "_dicut_chain",
+        },
+        "DiceSet": {"_win_matrix"},
+    }
+    problems = [
+        f"{owner}.{attr} is {'not ' if attr in expected.get(owner, ()) else ''}"
+        "a cached_property"
+        for owner in sorted(cached.keys() | expected.keys())
+        for attr in sorted(cached.get(owner, set()) ^ expected.get(owner, set()))
+    ]
+    problems += [
+        f"{name} calls _tarjan_sccs"
+        for name in sorted(tarjan_callers - {"StrictDigraph._condensation", "_Growth.__init__"})
+    ]
+    assert problems == []
