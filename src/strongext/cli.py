@@ -207,7 +207,9 @@ def _verify_certificate(g: StrictDigraph, text: str) -> int:
     """Check a certificate of either kind; prints valid/invalid.
 
     Syntax problems are input errors; a well-formed certificate that fails
-    its semantic check is reported as invalid with exit code 1.
+    its semantic check is reported as invalid with exit code 1.  A list of
+    added edges is valid when each is new, to the input and to the list,
+    and together they make the input strong.
     """
     dicut_line = None
     edges: list[Edge] = []
@@ -250,7 +252,7 @@ def _verify_certificate(g: StrictDigraph, text: str) -> int:
             ok = False
     else:
         try:
-            ok = is_strong(g.with_edges(edges))
+            ok = len(set(edges)) == len(edges) and is_strong(g.with_edges(edges))
         except ValueError:
             ok = False
     print("valid" if ok else "invalid")

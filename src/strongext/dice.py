@@ -258,8 +258,9 @@ def search_balanced_realization(
     Root cut.  An accepted deal's beats relation is a tournament containing
     ``h`` (reversed for loser-to-winner, which keeps cycles) with a cycle,
     so None is returned without dealing, at any k, when no such tournament
-    exists, as for one-face dice.  Only then is the deal budget checked:
-    BudgetError when there are more than SEARCH_BUDGET complete deals.
+    exists, and when the starting window below is empty, which is exactly
+    k <= 2.  Only then is the deal budget checked: BudgetError when there
+    are more than SEARCH_BUDGET complete deals.
     ``h``'s complete dicuts form a chain splitting the vertices into
     consecutive parts, every pair across two parts an edge of ``h``, so a
     tournament containing ``h`` has its cycles inside parts: parts of at
@@ -275,7 +276,13 @@ def search_balanced_realization(
     lies in [wins[i][j] + (k - |die i|)·|die j|, wins[i][j] + (k - |die i|)·k].
     A pair's P is the larger of its two final counts, so every completion's
     common P lies in the window [low, high] between the largest of the
-    pairs' least P (and k²/2 + 1) and the smallest of their greatest P.  A
+    pairs' least P (and ⌊k²/2⌋ + 1) and the smallest of their greatest P
+    (and k(k - 1)).  That last bound holds for every accepted deal: a die
+    wins more than k(k - 1) of the k² face pairs against another only if
+    its top face is higher, since otherwise the other's top face beats all
+    k of its faces.  So at a common P above k(k - 1) every pair's winner
+    has the higher top face, the beats tournament is the top-face order,
+    and it has no cycle.  The deal starts at [⌊k²/2⌋ + 1, k(k - 1)].  A
     face on die i changes only the n - 1 pairs through i, whose least P can
     only rise and greatest P only fall, so each deal narrows the window it
     was handed by those pairs alone and holds the window of all pairs.  A
@@ -300,15 +307,18 @@ def search_balanced_realization(
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
     if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
         raise InvalidDiceError(f"unknown edge direction {direction!r}")
-    # one-face dice are totally ordered, so their beats relation has no cycle
-    if k == 1 or not _has_cyclic_completion(h):
+    # every pair must end at one common P in [total // 2 + 1, k (k - 1)]
+    # wins for its winner (see Window); that is empty exactly when k <= 2
+    total = k * k
+    low, high = total // 2 + 1, total - k
+    if low > high or not _has_cyclic_completion(h):
         return None
     if _over_budget(h.n, k):
         raise BudgetError(
             f"dealing {h.n} dice of {k} faces has more than "
             f"{SEARCH_BUDGET} complete deals, the search budget"
         )
-    n, total = h.n, k * k
+    n = h.n
     last = n * k
     # beaten[i] lists the dice that h needs die i to beat
     beaten = h._out_lists if direction == WINNER_TO_LOSER else h._in_lists
@@ -378,7 +388,6 @@ def search_balanced_realization(
                 row[j] -= sizes[j]
         return False
 
-    # every pair must end at one common P > total / 2 wins for its winner
-    if deal(1, total // 2 + 1, total):
+    if deal(1, low, high):
         return DiceSet(tuple(tuple(die) for die in dice))
     return None

@@ -284,6 +284,16 @@ class TestCertify:
         assert code == 1
         assert out == "invalid\n"
 
+    def test_extension_listing_an_edge_twice_is_invalid(self, capsys, write):
+        # each added edge must be new to the input and to the list, so the
+        # strong extension + 2 0 is invalid once it is listed twice
+        graph = write(PATH3)
+        for cert, expected in (("+ 2 0\n", 0), ("+ 2 0\n+ 2 0\n", 1)):
+            code, out, _ = run(
+                capsys, "certify", graph, "--verify", write(cert, "cert.txt")
+            )
+            assert (code, out) == (expected, ("valid\n", "invalid\n")[expected])
+
     def test_empty_certificate_on_strong_graph(self, capsys, write):
         cert = write("# nothing added\n", "cert.txt")
         code, out, _ = run(capsys, "certify", write(CYCLE3), "--verify", cert)
@@ -528,17 +538,19 @@ class TestDiceRealize:
         assert err.startswith("budget exceeded:")
 
     @pytest.mark.parametrize(
-        "graph, k", [("n 2000\n", "1"), (CYCLE3, "1000000000")]
+        "graph, k",
+        [("n 2000\n", "1"), ("n 2000\n", "2"), (CYCLE3, "1000000000")],
     )
     def test_budget_on_huge_deal_counts(self, capsys, write, graph, k):
-        # one-face dice need no deal, so 2000! deals are answered, not
-        # refused; a billion faces on a 3-cycle need one and are refused
+        # dice of one or two faces need no deal, so 2000! deals or more are
+        # answered, not refused; a billion faces on a 3-cycle need one and
+        # are refused
         code, out, err = run(capsys, "dice", "realize", write(graph), "-k", k)
         assert "Traceback" not in err
-        if k == "1":
+        if k in ("1", "2"):
             assert (code, err) == (1, "")
             assert out == (
-                "no balanced realization with 1-sided dice\n"
+                f"no balanced realization with {k}-sided dice\n"
                 "no complete dicut found; larger dice may admit a realization\n"
             )
         else:
@@ -590,12 +602,12 @@ class TestSearchEntryOrder:
             capsys, "extend", write(serialize_edge_list(tt11)), "--minimize"
         )
         assert (code, out, err) == (1, "no strong extension exists\ndicut: {0}\n", "")
-        # TT5 has no cyclic completion and one-face dice never cycle; both
-        # are past the deal budget
+        # TT5 has no cyclic completion, and dice of one or two faces never
+        # cycle; all three are past the deal budget
         tt5 = serialize_edge_list(
             StrictDigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         )
-        for text, k in ((tt5, 3), ("n 2000\n", 1)):
+        for text, k in ((tt5, 3), ("n 2000\n", 1), ("n 2000\n", 2)):
             h = parse_edge_list(text)
             for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
                 assert search_balanced_realization(h, k, direction) is None

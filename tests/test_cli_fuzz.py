@@ -139,7 +139,8 @@ def certificates(draw, n: int):
         side = sorted(draw(st.sets(vertices, max_size=n + 1)))
         return "dicut: {" + ", ".join(map(str, side)) + "}\n", True
     if kind == 2:
-        pairs = sorted(draw(st.sets(st.tuples(vertices, vertices), max_size=6)))
+        # a list, not a set: a certificate may repeat an edge
+        pairs = draw(st.lists(st.tuples(vertices, vertices), max_size=6))
         return "".join(f"+ {u} {v}\n" for u, v in pairs), True
     if kind == 3:
         return draw(st.sampled_from(ODD_CERTIFICATES)), False
@@ -269,6 +270,11 @@ def workdir(tmp_path_factory):
 # 2 000 one-face dice: at 646a9ef the budget message formatted a deal
 # count of 5 700 digits and died with ValueError
 @example(call=Call(("dice", "realize", "@graph", "-k", "1"), {"graph": "n 2000\n"}))
+# an added-edge certificate listing its one edge twice, which the
+# checker calls invalid: each added edge must be new
+@example(call=Call(("certify", "@graph", "--verify", "@cert"),
+                   {"graph": "n 3\n0 1\n1 2\n", "cert": "+ 2 0\n+ 2 0\n"},
+                   (3, frozenset({(0, 1), (1, 2)}))))
 def test_every_call_keeps_the_contract(workdir, call):
     paths: dict[str, str] = {}
     for name, content in call.files.items():
