@@ -23,6 +23,7 @@ from .dicut import (
     find_complete_dicut,
     format_certificate,
     parse_certificate,
+    verify_certificate,
     verify_complete_dicut,
 )
 from .digraph import (

@@ -30,14 +30,12 @@ from .dicut import (
     DicutCertificate,
     find_complete_dicut,
     format_certificate,
-    parse_certificate,
-    verify_complete_dicut,
+    verify_certificate,
 )
 from .digraph import (
     Condensation,
     Edge,
     StrictDigraph,
-    is_strong,
     parse_edge_list,
     serialize_edge_list,
     strong_components,
@@ -46,7 +44,6 @@ from .errors import (
     BudgetError,
     EmptyGraphError,
     HasCompleteDicutError,
-    InvalidCertificateError,
     InvalidInputError,
     StrongExtError,
 )
@@ -198,65 +195,11 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     g = _read_graph(args.file)
     if args.verify is not None:
-        return _verify_certificate(g, _read_text(args.verify))
+        valid = verify_certificate(g, _read_text(args.verify))
+        print("valid" if valid else "invalid")
+        return 0 if valid else 1
     sys.stdout.write(_added_lines(extend(g).added))
     return 0
-
-
-def _verify_certificate(g: StrictDigraph, text: str) -> int:
-    """Check a certificate of either kind; prints valid/invalid.
-
-    Syntax problems are input errors; a well-formed certificate that fails
-    its semantic check is reported as invalid with exit code 1.  A list of
-    added edges is valid when each is new, to the input and to the list,
-    and together they make the input strong.
-    """
-    dicut_line = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dicut:"):
-            if dicut_line is not None or edges:
-                raise InvalidCertificateError(
-                    f"line {lineno}: certificate must be a single dicut line "
-                    "or a list of added edges"
-                )
-            dicut_line = line
-        elif line.startswith("+"):
-            if dicut_line is not None:
-                raise InvalidCertificateError(
-                    f"line {lineno}: added edge after a dicut line"
-                )
-            parts = line[1:].split()
-            if len(parts) != 2:
-                raise InvalidCertificateError(
-                    f"line {lineno}: expected '+ u v', got {raw!r}"
-                )
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise InvalidCertificateError(
-                    f"line {lineno}: expected integer endpoints, got {raw!r}"
-                ) from None
-        else:
-            raise InvalidCertificateError(
-                f"line {lineno}: unrecognized certificate line {raw!r}"
-            )
-    if dicut_line is not None:
-        cert = parse_certificate(dicut_line)
-        try:
-            ok = verify_complete_dicut(g, cert)
-        except InvalidCertificateError:
-            ok = False
-    else:
-        try:
-            ok = len(set(edges)) == len(edges) and is_strong(g.with_edges(edges))
-        except ValueError:
-            ok = False
-    print("valid" if ok else "invalid")
-    return 0 if ok else 1
 
 
 def cmd_extend(args) -> int:
@@ -428,24 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = dice_sub.add_parser("eval", help="win matrix, balance, beats digraph")
     p.add_argument("file", help="dice file, one die per line")
-    p.add_argument(
-        "--direction",
-        choices=[WINNER_TO_LOSER, LOSER_TO_WINNER],
-        default=WINNER_TO_LOSER,
-        help="beats-digraph edge direction (default: %(default)s)",
-    )
+    _add_direction(p, "beats-digraph edge direction")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_dice_eval)
 
     p = dice_sub.add_parser("realize", help="search dice realizing a digraph")
     p.add_argument("file", help="edge-list file for the target digraph")
     p.add_argument("-k", type=int, required=True, help="faces per die")
-    p.add_argument(
-        "--direction",
-        choices=[WINNER_TO_LOSER, LOSER_TO_WINNER],
-        default=WINNER_TO_LOSER,
-        help="how target edges map to wins (default: %(default)s)",
-    )
+    _add_direction(p, "how target edges map to wins")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_dice_realize)
 
@@ -455,6 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     return parser
+
+
+def _add_direction(p: argparse.ArgumentParser, meaning: str):
+    """The ``--direction`` option of the dice commands."""
+    p.add_argument(
+        "--direction",
+        choices=[WINNER_TO_LOSER, LOSER_TO_WINNER],
+        default=WINNER_TO_LOSER,
+        help=f"{meaning} (default: %(default)s)",
+    )
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .digraph import StrictDigraph, _Frozen
+from .digraph import StrictDigraph, _Frozen, _content_lines
 from .errors import BudgetError, InvalidDiceError, ParseError, TooSmallError
 
 if TYPE_CHECKING:
@@ -103,11 +103,7 @@ def parse_dice(text: str) -> DiceSet:
     Blank lines are skipped and ``#`` starts a comment.  Dice are fed to the
     dice check as they are read, so an error names the first offending line.
     """
-    lines = (
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
-    )
+    lines = _content_lines(text)
     lineno = 1
 
     def dice() -> Iterator[list[int]]:
@@ -150,6 +146,11 @@ def win_matrix(d: DiceSet) -> WinMatrix:
     return d._win_matrix
 
 
+def _check_direction(direction: str):
+    if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+        raise InvalidDiceError(f"unknown edge direction {direction!r}")
+
+
 def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph:
     """Digraph on die indices with an edge for every decided pair.
 
@@ -158,8 +159,7 @@ def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph
     edge.  ``direction`` controls whether edges run winner-to-loser or
     loser-to-winner.
     """
-    if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
-        raise InvalidDiceError(f"unknown edge direction {direction!r}")
+    _check_direction(direction)
     counts, half = win_matrix(d).counts, d.sides * d.sides
     edges = set()
     for i in range(d.count):
@@ -305,8 +305,7 @@ def search_balanced_realization(
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
     if k < 1:
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
-    if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
-        raise InvalidDiceError(f"unknown edge direction {direction!r}")
+    _check_direction(direction)
     # every pair must end at one common P in [total // 2 + 1, k (k - 1)]
     # wins for its winner (see Window); that is empty exactly when k <= 2
     total = k * k

@@ -11,7 +11,9 @@ The same chain of prefix sums gives the smallest gap between k * (n - k)
 and a prefix's d-sum, from which ``StrictDigraph._score_strong`` proves a
 dense dicut-free digraph strong without condensing it.
 ``verify_complete_dicut`` checks a given side by counting the edges that
-leave and enter it, independently of the detector.  The references the
+leave and enter it, independently of the detector.  ``verify_certificate``
+reads and checks a certificate of either kind, a complete dicut or a list
+of added edges that makes the digraph strong.  The references the
 detector is tested against, a scan of every subset and a block-merging
 detector, are in the test suite's ``tests/helpers.py``.
 """
@@ -21,8 +23,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import sub
 
-from .digraph import StrictDigraph, _Frozen
-from .errors import InvalidCertificateError
+from .digraph import Edge, StrictDigraph, _Frozen, _content_lines, is_strong
+from .errors import InvalidCertificateError, ParseError
 
 
 class DicutCertificate(_Frozen):
@@ -86,6 +88,49 @@ def verify_complete_dicut(g: StrictDigraph, cert: DicutCertificate) -> bool:
         return False
     # edges are distinct, so |X| * |X^c| leaving edges are all the forward pairs
     return crossing.count(1) == len(side) * (g.n - len(side))
+
+
+def verify_certificate(g: StrictDigraph, text: str) -> bool:
+    """Whether certificate text of either kind holds for g.
+
+    The first line with content decides the kind.  A ``dicut:`` line makes
+    it a dicut certificate, that line alone, valid when its side is a
+    complete dicut of g.  Otherwise it is a list of added edges, one
+    ``+ u v`` line each, valid when each edge is new, to g and to the list,
+    and together they make g strong; an empty list is valid exactly for a
+    strong g.  Malformed text raises ParseError naming its line.
+    """
+    lines = list(_content_lines(text))
+    if lines and lines[0][1].startswith("dicut:"):
+        lineno, line = lines[0]
+        try:
+            cert = parse_certificate(line)
+        except InvalidCertificateError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if len(lines) > 1:
+            raise ParseError(lines[1][0], "a dicut certificate is one 'dicut:' line")
+        try:
+            return verify_complete_dicut(g, cert)
+        except InvalidCertificateError:  # not a nonempty proper subset of g's vertices
+            return False
+    added = [_added_edge(lineno, line) for lineno, line in lines]
+    if len(set(added)) != len(added):
+        return False
+    try:
+        return is_strong(g.with_edges(added))
+    except ValueError:  # a loop, an edge out of range, or one g has or reverses
+        return False
+
+
+def _added_edge(lineno: int, line: str) -> Edge:
+    """The edge of a ``+ u v`` certificate line."""
+    tokens = line[1:].split()
+    if not line.startswith("+") or len(tokens) != 2:
+        raise ParseError(lineno, f"expected '+ <u> <v>', got {line!r}")
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
 
 
 def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:

@@ -305,10 +305,11 @@ _CANONICAL_HEADER = re.compile(r"n ([0-9]{1,7})\n", re.ASCII)
 def parse_edge_list(text: str) -> StrictDigraph:
     """Parse the edge-list format: header ``n <N>``, then ``<u> <v>`` lines.
 
-    Blank lines are skipped and lines starting with ``#`` are comments.
-    Duplicate edges are deduplicated; loops, antiparallel pairs, and
-    out-of-range indices raise a ParseError naming the offending line, and
-    so does a vertex count above MAX_VERTICES.
+    Blank lines are skipped and ``#`` starts a comment, on a line of its
+    own or after the header or an edge.  Duplicate edges are deduplicated;
+    loops, antiparallel pairs, and out-of-range indices raise a ParseError
+    naming the offending line, and so does a vertex count above
+    MAX_VERTICES.
 
     Canonical text is read in bulk: screened by one translate, split once,
     endpoints looked up in a table of vertex ids, and the edge set checked
@@ -352,17 +353,23 @@ def parse_edge_list(text: str) -> StrictDigraph:
     return StrictDigraph._trusted(n, codes, tails, heads)
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line number and content of every line that has some: the one
+    line rule of every text format.  ``#`` starts a comment, which runs to
+    the end of the line; surrounding whitespace is dropped, and a line left
+    empty is skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
+
 def _parse_lines(text: str) -> StrictDigraph:
     """Line-by-line reader behind parse_edge_list; the only one that raises.
 
     Edge lines are fed to the strictness check as they are read, so an
     error names the first offending line.
     """
-    lines = (
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.strip()) and not line.startswith("#")
-    )
+    lines = _content_lines(text)
     lineno, line = next(lines, (1, None))
     if line is None:
         raise ParseError(lineno, "missing header 'n <N>'")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -852,3 +853,28 @@ def held_karp_cyclic_cost(per_weak) -> int:
                 if old is None or here + cost[j][nxt] < old:
                     best[mask | bit][nxt] = here + cost[j][nxt]
     return min(best[full][j] + cost[j][0] for j in range(1, k))
+
+
+def inner_calls(outer, name: str, work):
+    """How often ``work()`` calls the function ``name`` defined inside the
+    function ``outer``, and what ``work()`` returned.
+
+    The inner function's code object is a constant of ``outer``'s code;
+    a profile hook counts the calls that enter it, recursive ones too."""
+    code = next(
+        c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == name
+    )
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = work()
+    finally:
+        sys.setprofile(previous)
+    return calls, result

@@ -312,6 +312,45 @@ class TestCertify:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "cert, lineno",
+        [
+            ("dicut: 0\n", 1),
+            ("dicut: {x}\n", 1),
+            ("dicut: {0}\ndicut: {1}\n", 2),
+            ("dicut: {0}\n+ 0 1\n", 2),
+            ("+ 0 1\ndicut: {0}\n", 2),
+            ("+ 0\n", 1),
+            ("+ a b\n", 1),
+            ("what\n", 1),
+        ],
+    )
+    def test_malformed_certificate_names_its_line(self, capsys, write, cert, lineno):
+        code, out, err = run(
+            capsys, "certify", write(TT3), "--verify", write(cert, "cert.txt")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {lineno}: ")
+
+    @pytest.mark.parametrize(
+        "graph, cert",
+        [
+            (PATH3, "+ 2 0\n"),
+            (PATH3, "+ 0 2\n"),
+            (TT3, "dicut: {0}\n"),
+            (TT3, "dicut: {1}\n"),
+            (CYCLE3, ""),
+        ],
+    )
+    def test_comments_keep_the_verdict(self, capsys, write, graph, cert):
+        commented = "# certificate\n" + cert.replace("\n", "  # checked\n")
+        verdicts = [
+            run(capsys, "certify", write(graph), "--verify", write(text, "cert.txt"))
+            for text in (cert, commented)
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][2] == ""
+
 
 class TestExtend:
     def test_plan(self, capsys, write):

@@ -36,6 +36,7 @@ from strongext.dice import (
 from helpers import (
     all_strict_digraphs,
     all_tournaments,
+    inner_calls,
     isomorphism_class_representatives,
     oracle_has_cyclic_completion,
     oracle_search_balanced_realization,
@@ -437,6 +438,22 @@ class TestCommonWinBound:
                     assert not tournament_has_cycle(beats_digraph(d)), d
         assert deals == 1_680
         assert balanced_above > 0
+
+
+class TestSearchWork:
+    def test_deal_nodes_on_four_vertex_classes(self):
+        # every cut of the deal leaves the first hits alone, so only the
+        # node count shows a weakened one: dropping the rival floor in
+        # narrow, the twin cut or the edge cut deals 11 765, 5 383 or
+        # 25 763 nodes here.  A change to a cut re-pins the count
+        classes = isomorphism_class_representatives(4)
+        nodes, found = inner_calls(
+            search_balanced_realization,
+            "deal",
+            lambda: [search_balanced_realization(h, 3) for h in classes],
+        )
+        assert (len(classes), sum(d is not None for d in found)) == (42, 37)
+        assert nodes == 4_609
 
 
 class TestSearchMatchesOracle:

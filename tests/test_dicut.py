@@ -8,10 +8,12 @@ from strongext import (
     BudgetError,
     DicutCertificate,
     InvalidCertificateError,
+    ParseError,
     StrictDigraph,
     find_complete_dicut,
     format_certificate,
     parse_certificate,
+    verify_certificate,
     verify_complete_dicut,
 )
 
@@ -52,6 +54,57 @@ class TestVerify:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidCertificateError):
             verify_complete_dicut(PATH3, DicutCertificate(frozenset({7})))
+
+
+class TestVerifyCertificate:
+    """Certificate text of either kind: the first content line decides."""
+
+    @pytest.mark.parametrize(
+        "g, text, valid",
+        [
+            (TT3, "dicut: {0}\n", True),
+            (TT3, "# side\ndicut: {0}  # the source\n\n", True),
+            (TT3, "dicut: {1}\n", False),
+            (TT3, "dicut: {5}\n", False),
+            (TT3, "dicut: {}\n", False),
+            (PATH3, "+ 2 0\n", True),
+            (PATH3, "+ 2 0  # back\n# done\n", True),
+            (PATH3, "+ 0 2\n", False),
+            (PATH3, "+ 5 0\n", False),
+            (CYCLE3, "", True),
+            (CYCLE3, "# nothing added\n", True),
+            (PATH3, "", False),
+        ],
+    )
+    def test_verdict(self, g, text, valid):
+        assert verify_certificate(g, text) is valid
+
+    def test_edge_listed_twice_is_invalid(self):
+        assert not verify_certificate(PATH3, "+ 2 0\n+ 2 0\n")
+
+    def test_edge_of_the_input_is_invalid(self):
+        # 0 -> 1 is in PATH3, so the list does not add it, though with
+        # 2 -> 0 the edges make a strong digraph
+        assert not verify_certificate(PATH3, "+ 0 1\n+ 2 0\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("dicut: 0\n", 1),
+            ("# cut\ndicut: {x}\n", 2),
+            ("dicut: {0}\ndicut: {1}\n", 2),
+            ("dicut: {0}\n\n+ 1 0\n", 3),
+            ("+ 2 0\ndicut: {0}\n", 2),
+            ("+ 2\n", 1),
+            ("+ 2 0\n+ a b\n", 2),
+            ("what\n", 1),
+        ],
+    )
+    def test_malformed_line_is_named(self, text, lineno):
+        with pytest.raises(ParseError) as raised:
+            verify_certificate(PATH3, text)
+        assert raised.value.lineno == lineno
+        assert str(raised.value).startswith(f"line {lineno}: ")
 
 
 class TestCertificateFormat:

@@ -353,10 +353,23 @@ LINE_PERTURBATIONS = {
     "crlf": lambda u, v, n: f"{u} {v}\r",
     "blank line": lambda u, v, n: f"{u} {v}\n",
     "comment line": lambda u, v, n: f"# {u} {v}\n{u} {v}",
+    "trailing comment": lambda u, v, n: f"{u} {v}  # {u}->{v}",
     "duplicate": lambda u, v, n: f"{u} {v}\n{u} {v}",
     "loop": lambda u, v, n: f"{u} {u}",
     "antiparallel pair": lambda u, v, n: f"{u} {v}\n{v} {u}",
     "id equal to n": lambda u, v, n: f"{u} {n}",
+}
+# the perturbations that leave a listing of the same digraph at every n
+SAME_DIGRAPH = {
+    "tab",
+    "trailing space",
+    "leading zero",
+    "plus sign",
+    "crlf",
+    "blank line",
+    "comment line",
+    "trailing comment",
+    "duplicate",
 }
 
 
@@ -388,7 +401,10 @@ class TestBulkParse:
         i = rng.randrange(len(lines))
         u, v = map(int, lines[i].split())
         lines[i] = LINE_PERTURBATIONS[kind](u, v, g.n)
-        assert_parses_like_lines(f"n {g.n}\n" + "".join(f"{line}\n" for line in lines))
+        text = f"n {g.n}\n" + "".join(f"{line}\n" for line in lines)
+        assert_parses_like_lines(text)
+        if kind in SAME_DIGRAPH:
+            assert parse_edge_list(text) == g
 
     @pytest.mark.parametrize(
         "text",
@@ -398,6 +414,7 @@ class TestBulkParse:
             "n 3\n\n0 1\n",
             "# g\nn 3\n0 1\n",
             "n 3\n0 1\n# end\n",
+            "n 3 # g\n0 1 # e\n",
             "n  3\n0 1\n",
             "n 3 \n0 1\n",
             "n 03\n0 1\n",
@@ -422,6 +439,9 @@ class TestBulkParse:
     )
     def test_edge_cases_match_line_reader(self, text):
         assert_parses_like_lines(text)
+
+    def test_comments_after_header_and_edge(self):
+        assert parse_edge_list("n 3 # g\n0 1 # e\n") == parse_edge_list("n 3\n0 1\n")
 
     @pytest.mark.parametrize(
         "text",

@@ -42,7 +42,9 @@ from helpers import (
     _mask_vertices,
     all_strict_digraphs,
     closure_extend,
+    criterion_sample,
     held_karp_cyclic_cost,
+    inner_calls,
     oracle_brute_force_min_extension,
     oracle_extend,
     oracle_is_strong,
@@ -847,6 +849,23 @@ def min_extension_corpus() -> tuple[list[StrictDigraph], list[StrictDigraph]]:
         elif pairs <= 7 and len(with_dicut) < 16:
             with_dicut.append(g)
     return connectable, with_dicut
+
+
+class TestSearchWork:
+    def test_search_nodes_on_a_criterion_sample(self):
+        # the cuts of the minimum-extension search leave every minimum
+        # alone, so only the node count shows a weakened one: dropping the
+        # need-count or the last-candidate cut, or starting at size 1,
+        # visits 281 433, 9 249 or 7 318 nodes here.  A change to a cut
+        # re-pins the count
+        sample = [g for g in criterion_sample(77, 300) if _within_search_budget(g)]
+        nodes, minima = inner_calls(
+            _min_extension_search,
+            "search",
+            lambda: [brute_force_min_extension(g)[0] for g in sample],
+        )
+        assert (len(sample), sum(minima)) == (298, 766)
+        assert nodes == 6_850
 
 
 class TestBruteForceMatchesOracle:
