@@ -5,12 +5,9 @@ The names imported below are the package's public interface.
 """
 
 from .dice import (
-    LOSER_TO_WINNER,
     MAX_DICE,
     SEARCH_BUDGET,
-    WINNER_TO_LOSER,
     DiceSet,
-    WinMatrix,
     beats_digraph,
     is_balanced,
     parse_dice,
@@ -21,6 +18,7 @@ from .dice import (
 from .dicut import (
     DicutCertificate,
     find_complete_dicut,
+    format_added_edges,
     format_certificate,
     parse_certificate,
     verify_certificate,

@@ -16,9 +16,6 @@ import sys
 from typing import NamedTuple
 
 from .dice import (
-    LOSER_TO_WINNER,
-    WINNER_TO_LOSER,
-    DiceSet,
     beats_digraph,
     is_balanced,
     parse_dice,
@@ -29,12 +26,12 @@ from .dice import (
 from .dicut import (
     DicutCertificate,
     find_complete_dicut,
+    format_added_edges,
     format_certificate,
     verify_certificate,
 )
 from .digraph import (
     Condensation,
-    Edge,
     StrictDigraph,
     parse_edge_list,
     serialize_edge_list,
@@ -86,7 +83,7 @@ class AnalysisReport(NamedTuple):
         if self.plan is not None:
             out += "plan:\n" + _plan_text(self.plan)
         if self.bounds_report is not None:
-            out += "bounds:\n" + _key_lines(_bounds_dict(self.bounds_report))
+            out += "bounds:\n" + _key_lines(self.bounds_report._asdict())
         return out
 
     def to_json(self) -> str:
@@ -98,7 +95,7 @@ class AnalysisReport(NamedTuple):
         if self.plan is not None:
             payload["plan"] = _plan_dict(self.plan)
         if self.bounds_report is not None:
-            payload["bounds"] = _bounds_dict(self.bounds_report)
+            payload["bounds"] = self.bounds_report._asdict()
         return _dump(payload)
 
 
@@ -141,20 +138,11 @@ def _plan_dict(plan: ExtensionPlan) -> dict:
 
 def _plan_text(plan: ExtensionPlan) -> str:
     """Added edges as ``+ u v`` lines, followed by the resulting edge list."""
-    return _added_lines(plan.added) + serialize_edge_list(plan.resulting)
-
-
-def _added_lines(added: tuple[Edge, ...]) -> str:
-    """The ``+ u v`` line of each added edge, as ``certify`` prints them."""
-    return "".join(f"+ {u} {v}\n" for u, v in added)
+    return format_added_edges(plan.added) + serialize_edge_list(plan.resulting)
 
 
 def _graph_dict(g: StrictDigraph) -> dict:
     return {"n": g.n, "edges": g.sorted_edges()}
-
-
-def _bounds_dict(report: BoundsReport) -> dict:
-    return report._asdict()  # the fields, in their declared order
 
 
 def _key_lines(payload: dict) -> str:
@@ -198,7 +186,7 @@ def cmd_certify(args) -> int:
         valid = verify_certificate(g, _read_text(args.verify))
         print("valid" if valid else "invalid")
         return 0 if valid else 1
-    sys.stdout.write(_added_lines(extend(g).added))
+    sys.stdout.write(format_added_edges(extend(g).added))
     return 0
 
 
@@ -225,27 +213,45 @@ def cmd_extend(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    payload = _bounds_dict(bounds(_read_graph(args.file)))
+    payload = bounds(_read_graph(args.file))._asdict()  # fields in declared order
     sys.stdout.write(_dump(payload) if args.json else _key_lines(payload))
     return 0
 
 
-def _read_dice(path: str) -> DiceSet:
-    return parse_dice(_read_text(path))
+WINNER_TO_LOSER = "winner-to-loser"
+LOSER_TO_WINNER = "loser-to-winner"
+
+
+def _add_direction(p: argparse.ArgumentParser, meaning: str):
+    """The ``--direction`` option of the dice commands."""
+    p.add_argument(
+        "--direction",
+        choices=[WINNER_TO_LOSER, LOSER_TO_WINNER],
+        default=WINNER_TO_LOSER,
+        help=f"{meaning} (default: %(default)s)",
+    )
+
+
+def _oriented(g: StrictDigraph, direction: str) -> StrictDigraph:
+    """g with its edges in the given direction.  The library's beats
+    digraph runs winner-to-loser; loser-to-winner is its reverse."""
+    if direction == WINNER_TO_LOSER:
+        return g
+    return StrictDigraph(g.n, [(v, u) for u, v in g.sorted_edges()])
 
 
 def cmd_dice_eval(args) -> int:
-    d = _read_dice(args.file)
+    d = parse_dice(_read_text(args.file))
     # balance and the beats digraph are both read off d's one cached matrix
     m = win_matrix(d)
     balanced, p = (None, None) if d.count < 2 else is_balanced(d)
-    beats = beats_digraph(d, args.direction)
+    beats = _oriented(beats_digraph(d), args.direction)
     if args.json:
         payload = {
             "dice": d.dice,
             "sides": d.sides,
             "win_counts": [
-                [None if i == j else m.counts[i][j] for j in range(d.count)]
+                [None if i == j else m[i][j] for j in range(d.count)]
                 for i in range(d.count)
             ],
             "balanced": balanced,
@@ -261,7 +267,7 @@ def cmd_dice_eval(args) -> int:
     print("win-matrix:")
     for i in range(d.count):
         row = [
-            "-" if i == j else f"{m.counts[i][j]}/{total}"
+            "-" if i == j else f"{m[i][j]}/{total}"
             for j in range(d.count)
         ]
         print(" ".join(row))
@@ -280,7 +286,7 @@ def cmd_dice_eval(args) -> int:
 
 def cmd_dice_realize(args) -> int:
     h = _read_graph(args.file)
-    found = search_balanced_realization(h, args.k, args.direction)
+    found = search_balanced_realization(_oriented(h, args.direction), args.k)
     if found is not None:
         _, p = is_balanced(found)
         if args.json:
@@ -294,6 +300,7 @@ def cmd_dice_realize(args) -> int:
             sys.stdout.write(serialize_dice(found))
             print(f"p: {p}")
         return 0
+    # the dicut of h as written: reversing h swaps a dicut's sides
     cert = find_complete_dicut(h)
     if args.json:
         payload = {
@@ -388,16 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     return parser
-
-
-def _add_direction(p: argparse.ArgumentParser, meaning: str):
-    """The ``--direction`` option of the dice commands."""
-    p.add_argument(
-        "--direction",
-        choices=[WINNER_TO_LOSER, LOSER_TO_WINNER],
-        default=WINNER_TO_LOSER,
-        help=f"{meaning} (default: %(default)s)",
-    )
 
 
 def main(argv=None) -> int:

@@ -10,16 +10,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .digraph import StrictDigraph, _Frozen, _content_lines
 from .errors import BudgetError, InvalidDiceError, ParseError, TooSmallError
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-WINNER_TO_LOSER = "winner-to-loser"
-LOSER_TO_WINNER = "loser-to-winner"
 
 SEARCH_BUDGET = 10_000_000
 
@@ -54,15 +51,14 @@ class DiceSet(_Frozen):
         return len(self.dice[0])
 
     @cached_property
-    def _win_matrix(self) -> WinMatrix:
+    def _win_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The matrix ``win_matrix`` returns; cached_property writes it to
         the instance dict, past the refusing ``__setattr__``."""
         dice, count = self.dice, self.count
-        counts = tuple(
+        return tuple(
             tuple(0 if i == j else _win_count(dice[i], dice[j]) for j in range(count))
             for i in range(count)
         )
-        return WinMatrix(counts, self.sides)
 
 
 def _checked_dice(dice: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -134,47 +130,30 @@ def _win_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(bisect_left(b, x) for x in a)
 
 
-class WinMatrix(NamedTuple):
-    """Pairwise win counts; entry (i, j) is how many of the sides * sides
-    face pairs die i wins against die j."""
-
-    counts: tuple[tuple[int, ...], ...]
-    sides: int
-
-
-def win_matrix(d: DiceSet) -> WinMatrix:
+def win_matrix(d: DiceSet) -> tuple[tuple[int, ...], ...]:
+    """Pairwise win counts; entry (i, j) is how many of the d.sides ** 2
+    face pairs die i wins against die j, and the diagonal is 0."""
     return d._win_matrix
 
 
-def _check_direction(direction: str):
-    if direction not in (WINNER_TO_LOSER, LOSER_TO_WINNER):
-        raise InvalidDiceError(f"unknown edge direction {direction!r}")
+def beats_digraph(d: DiceSet) -> StrictDigraph:
+    """Digraph on die indices with an edge from each die to every die it
+    beats.
 
-
-def beats_digraph(d: DiceSet, direction: str = WINNER_TO_LOSER) -> StrictDigraph:
-    """Digraph on die indices with an edge for every decided pair.
-
-    A pair is decided when one die wins more than half the face pairs; a
-    dead-even pair (possible for an even number of sides) contributes no
-    edge.  ``direction`` controls whether edges run winner-to-loser or
-    loser-to-winner.
+    A pair is decided when one die wins more than half the face pairs, so
+    the other wins fewer; a dead-even pair (possible for an even number of
+    sides) contributes no edge.
     """
-    _check_direction(direction)
-    counts, half = win_matrix(d).counts, d.sides * d.sides
-    edges = set()
-    for i in range(d.count):
-        for j in range(i + 1, d.count):
-            if 2 * counts[i][j] > half:
-                winner, loser = i, j
-            elif 2 * counts[j][i] > half:
-                winner, loser = j, i
-            else:
-                continue
-            if direction == WINNER_TO_LOSER:
-                edges.add((winner, loser))
-            else:
-                edges.add((loser, winner))
-    return StrictDigraph(d.count, frozenset(edges))
+    total = d.sides * d.sides
+    return StrictDigraph(
+        d.count,
+        [
+            (i, j)
+            for i, row in enumerate(win_matrix(d))
+            for j, c in enumerate(row)
+            if 2 * c > total
+        ],
+    )
 
 
 def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
@@ -185,7 +164,7 @@ def is_balanced(d: DiceSet) -> tuple[bool, Fraction | None]:
     """
     if d.count < 2:
         raise InvalidDiceError("balance needs at least two dice")
-    counts, total = win_matrix(d).counts, d.sides * d.sides
+    counts, total = win_matrix(d), d.sides * d.sides
     tops = {
         max(counts[i][j], total - counts[i][j])
         for i in range(d.count)
@@ -243,9 +222,7 @@ def _earlier_twins(h: StrictDigraph) -> list[int]:
     return twin
 
 
-def search_balanced_realization(
-    h: StrictDigraph, k: int, direction: str = WINNER_TO_LOSER
-) -> DiceSet | None:
+def search_balanced_realization(h: StrictDigraph, k: int) -> DiceSet | None:
     """Search for a balanced non-transitive dice set realizing ``h``.
 
     Faces 1..n*k are dealt exhaustively; a deal is accepted when the set is
@@ -256,11 +233,10 @@ def search_balanced_realization(
     None when no deal on these face counts works.
 
     Root cut.  An accepted deal's beats relation is a tournament containing
-    ``h`` (reversed for loser-to-winner, which keeps cycles) with a cycle,
-    so None is returned without dealing, at any k, when no such tournament
-    exists, and when the starting window below is empty, which is exactly
-    k <= 2.  Only then is the deal budget checked: BudgetError when there
-    are more than SEARCH_BUDGET complete deals.
+    ``h`` with a cycle, so None is returned without dealing, at any k, when
+    no such tournament exists, and when the starting window below is empty,
+    which is exactly k <= 2.  Only then is the deal budget checked:
+    BudgetError when there are more than SEARCH_BUDGET complete deals.
     ``h``'s complete dicuts form a chain splitting the vertices into
     consecutive parts, every pair across two parts an edge of ``h``, so a
     tournament containing ``h`` has its cycles inside parts: parts of at
@@ -305,7 +281,6 @@ def search_balanced_realization(
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
     if k < 1:
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
-    _check_direction(direction)
     # every pair must end at one common P in [total // 2 + 1, k (k - 1)]
     # wins for its winner (see Window); that is empty exactly when k <= 2
     total = k * k
@@ -320,7 +295,7 @@ def search_balanced_realization(
     n = h.n
     last = n * k
     # beaten[i] lists the dice that h needs die i to beat
-    beaten = h._out_lists if direction == WINNER_TO_LOSER else h._in_lists
+    beaten = h._out_lists
     others = [[j for j in range(n) if j != i] for i in range(n)]
     twin = _earlier_twins(h)
     dice: list[list[int]] = [[] for _ in range(n)]

@@ -13,9 +13,10 @@ dense dicut-free digraph strong without condensing it.
 ``verify_complete_dicut`` checks a given side by counting the edges that
 leave and enter it, independently of the detector.  ``verify_certificate``
 reads and checks a certificate of either kind, a complete dicut or a list
-of added edges that makes the digraph strong.  The references the
-detector is tested against, a scan of every subset and a block-merging
-detector, are in the test suite's ``tests/helpers.py``.
+of added edges that makes the digraph strong, as ``format_certificate``
+and ``format_added_edges`` write them.  The references the detector is
+tested against, a scan of every subset and a block-merging detector, are
+in the test suite's ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class DicutCertificate(_Frozen):
 def format_certificate(cert: DicutCertificate) -> str:
     inner = ", ".join(str(v) for v in cert.sorted_vertices())
     return f"dicut: {{{inner}}}"
+
+
+def format_added_edges(added: Iterable[Edge]) -> str:
+    """The ``+ u v`` line of each added edge: the certificate that the
+    edges make a digraph strong, as ``verify_certificate`` reads it."""
+    return "".join(f"+ {u} {v}\n" for u, v in added)
 
 
 def parse_certificate(text: str) -> DicutCertificate:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from random import Random
 
 from strongext import (
-    WINNER_TO_LOSER,
     BudgetError,
     Condensation,
     DiceSet,
@@ -77,16 +76,16 @@ def win_probability(a, b) -> Fraction:
     """Probability that a roll of ``a`` strictly exceeds a roll of ``b``;
     the two dice must form a valid dice set, checked as ``DiceSet`` does."""
     d = DiceSet((a, b))
-    return Fraction(win_matrix(d).counts[0][1], d.sides * d.sides)
+    return Fraction(win_matrix(d)[0][1], d.sides * d.sides)
 
 
-def realizes(d: DiceSet, h: StrictDigraph, direction: str = WINNER_TO_LOSER) -> bool:
+def realizes(d: DiceSet, h: StrictDigraph) -> bool:
     """Whether every edge of ``h`` is an edge of the beats digraph of ``d``."""
     if h.n != d.count:
         raise InvalidDiceError(
             f"target has {h.n} vertices but the set has {d.count} dice"
         )
-    return h.edges <= beats_digraph(d, direction).edges
+    return h.edges <= beats_digraph(d).edges
 
 
 def oracle_is_strong(g: StrictDigraph) -> bool:
@@ -776,7 +775,7 @@ def oracle_brute_force_min_extension(g: StrictDigraph):
     return None
 
 
-def oracle_search_balanced_realization(h: StrictDigraph, k: int, direction: str):
+def oracle_search_balanced_realization(h: StrictDigraph, k: int):
     """Balanced realization search over every complete deal.
 
     Faces 1..n*k are dealt in increasing order to each die with spare
@@ -794,7 +793,7 @@ def oracle_search_balanced_realization(h: StrictDigraph, k: int, direction: str)
             balanced, p = is_balanced(candidate)
             if not balanced or 2 * p.numerator <= p.denominator:
                 return None
-            beats = beats_digraph(candidate, direction)
+            beats = beats_digraph(candidate)
             if not h.edges <= beats.edges:
                 return None
             if not tournament_has_cycle(beats):

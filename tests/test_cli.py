@@ -10,9 +10,7 @@ from hypothesis import given, settings
 
 import strongext
 from strongext import (
-    LOSER_TO_WINNER,
     MAX_DICE,
-    WINNER_TO_LOSER,
     BudgetError,
     DiceSet,
     StrictDigraph,
@@ -33,7 +31,7 @@ from strongext import (
     strong_components,
     win_matrix,
 )
-from strongext.cli import analyze, build_parser, main
+from strongext.cli import LOSER_TO_WINNER, WINNER_TO_LOSER, analyze, build_parser, main
 from strategies import dice_sets, strict_digraphs
 
 PATH3 = "n 3\n0 1\n1 2\n"
@@ -624,6 +622,20 @@ class TestDiceRealize:
         assert "error:" in err
 
 
+class TestDirection:
+    @pytest.mark.parametrize("command", ["eval", "realize"])
+    def test_unknown_direction_is_refused(self, capsys, write, command):
+        # the library takes no orientation, so the option's choices are
+        # the one guard against an unknown one
+        text = ROCK_PAPER if command == "eval" else CYCLE3
+        argv = ["dice", command, write(text), "--direction", "sideways"]
+        if command == "realize":
+            argv += ["-k", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'sideways'" in err
+
+
 class TestSearchEntryOrder:
     """Each exhaustive search checks its arguments, answers what needs no
     search, and only then checks its one budget, before any setup."""
@@ -647,9 +659,8 @@ class TestSearchEntryOrder:
             StrictDigraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         )
         for text, k in ((tt5, 3), ("n 2000\n", 1), ("n 2000\n", 2)):
-            h = parse_edge_list(text)
+            assert search_balanced_realization(parse_edge_list(text), k) is None
             for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
-                assert search_balanced_realization(h, k, direction) is None
                 code, out, err = run(
                     capsys, "dice", "realize", write(text), "-k", str(k),
                     "--direction", direction,

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given
 
 from strongext import (
-    LOSER_TO_WINNER,
     MAX_DICE,
-    WINNER_TO_LOSER,
     BudgetError,
     DiceSet,
     InvalidDiceError,
@@ -18,14 +16,17 @@ from strongext import (
     TooSmallError,
     beats_digraph,
     find_complete_dicut,
+    format_certificate,
     is_balanced,
     is_strong,
     parse_dice,
     search_balanced_realization,
     serialize_dice,
+    serialize_edge_list,
     strong_components,
     win_matrix,
 )
+from strongext.cli import LOSER_TO_WINNER, WINNER_TO_LOSER, _oriented, main
 from strongext.dice import (
     SEARCH_BUDGET,
     _earlier_twins,
@@ -206,9 +207,7 @@ class TestWinProbability:
 
 class TestWinMatrix:
     def test_counts(self):
-        m = win_matrix(ROCK_PAPER)
-        assert m.counts == ((0, 5, 4), (4, 0, 5), (5, 4, 0))
-        assert m.sides == 3
+        assert win_matrix(ROCK_PAPER) == ((0, 5, 4), (4, 0, 5), (5, 4, 0))
 
     @given(dice_sets(min_dice=2, max_sides=8))
     def test_counts_match_every_face_pair(self, d):
@@ -217,7 +216,7 @@ class TestWinMatrix:
             for j in range(d.count):
                 if i != j:
                     a, b = d.dice[i], d.dice[j]
-                    assert m.counts[i][j] == oracle_win_count(a, b)
+                    assert m[i][j] == oracle_win_count(a, b)
                     # win_probability takes its faces in any order
                     assert win_probability(a[::-1], b[::-1]) == Fraction(
                         oracle_win_count(a, b), d.sides * d.sides
@@ -240,14 +239,10 @@ class TestBeatsDigraph:
         assert beats_digraph(d) == StrictDigraph(1, frozenset())
 
     def test_direction_flip(self):
-        assert (
-            beats_digraph(ROCK_PAPER, LOSER_TO_WINNER)
-            == reverse(beats_digraph(ROCK_PAPER))
-        )
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(InvalidDiceError):
-            beats_digraph(ROCK_PAPER, "sideways")
+        # the command line's loser-to-winner digraph is the reverse
+        beats = beats_digraph(ROCK_PAPER)
+        assert _oriented(beats, WINNER_TO_LOSER) is beats
+        assert _oriented(beats, LOSER_TO_WINNER) == reverse(beats)
 
     def test_dead_even_pair_has_no_edge(self):
         # {1,4} vs {2,3} wins exactly half the 4 face pairs
@@ -263,7 +258,12 @@ class TestBeatsDigraph:
 
     @given(dice_sets(min_dice=2))
     def test_direction_flip_is_reversal(self, d):
-        assert beats_digraph(d, LOSER_TO_WINNER) == reverse(beats_digraph(d))
+        # mirroring the faces turns every win into a loss, so the
+        # loser-to-winner digraph is the winner-to-loser one of the mirror
+        top = max(map(max, d.dice)) + 1
+        mirror = DiceSet(tuple(tuple(top - f for f in die) for die in d.dice))
+        assert _oriented(beats_digraph(d), LOSER_TO_WINNER) == beats_digraph(mirror)
+        assert beats_digraph(mirror) == reverse(beats_digraph(d))
 
 
 class TestIsBalanced:
@@ -300,7 +300,9 @@ class TestRealizes:
 
     def test_reversed_cycle(self):
         assert not realizes(ROCK_PAPER, reverse(CYCLE3))
-        assert realizes(ROCK_PAPER, reverse(CYCLE3), LOSER_TO_WINNER)
+        # the mirrored set, faces f -> 10 - f, is ROCK_PAPER with two dice
+        # swapped, and wins each pair ROCK_PAPER loses
+        assert realizes(DiceSet(((1, 5, 9), (2, 6, 7), (3, 4, 8))), reverse(CYCLE3))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(InvalidDiceError):
@@ -348,8 +350,8 @@ class TestCyclicCompletion:
             6, [(u, v) for u in range(6) for v in range(6) if u // 2 < v // 2]
         )
         assert not _has_cyclic_completion(h)
-        for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
-            assert search_balanced_realization(h, 2, direction) is None
+        for target in (h, reverse(h)):
+            assert search_balanced_realization(target, 2) is None
 
 
 class TestSearch:
@@ -381,9 +383,10 @@ class TestSearch:
         assert balanced and p > Fraction(1, 2)
 
     def test_loser_to_winner_direction(self):
-        d = search_balanced_realization(CYCLE3, 3, LOSER_TO_WINNER)
+        # loser-to-winner is the search on the reversed target
+        d = search_balanced_realization(reverse(CYCLE3), 3)
         assert d is not None
-        assert realizes(d, CYCLE3, LOSER_TO_WINNER)
+        assert realizes(d, reverse(CYCLE3))
 
     def test_single_faces_cannot_cycle(self):
         assert search_balanced_realization(CYCLE3, 1) is None
@@ -462,33 +465,29 @@ class TestSearchMatchesOracle:
     def test_every_three_vertex_target(self):
         for k in (1, 2, 3):
             for h in all_strict_digraphs(3):
-                for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+                for target in (h, reverse(h)):
                     assert search_balanced_realization(
-                        h, k, direction
-                    ) == oracle_search_balanced_realization(h, k, direction)
+                        target, k
+                    ) == oracle_search_balanced_realization(target, k)
 
     def test_four_vertex_classes_two_faces(self):
         for h in isomorphism_class_representatives(4):
-            for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+            for target in (h, reverse(h)):
                 assert search_balanced_realization(
-                    h, 2, direction
-                ) == oracle_search_balanced_realization(h, 2, direction)
+                    target, 2
+                ) == oracle_search_balanced_realization(target, 2)
 
     def test_three_vertex_classes_four_faces(self):
         for h in isomorphism_class_representatives(3):
             assert search_balanced_realization(
                 h, 4
-            ) == oracle_search_balanced_realization(h, 4, WINNER_TO_LOSER)
+            ) == oracle_search_balanced_realization(h, 4)
 
     def test_four_cycle_three_faces(self):
         h = StrictDigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         found = search_balanced_realization(h, 3)
         assert found is not None
-        assert found == oracle_search_balanced_realization(h, 3, WINNER_TO_LOSER)
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(InvalidDiceError):
-            search_balanced_realization(CYCLE3, 3, "sideways")
+        assert found == oracle_search_balanced_realization(h, 3)
 
 
 def swap_fixes(h: StrictDigraph, i: int, j: int) -> bool:
@@ -521,10 +520,10 @@ class TestTwins:
         ]
         assert len(targets) == 79
         for h in Random(4242).sample(targets, 2):
-            for direction in (WINNER_TO_LOSER, LOSER_TO_WINNER):
+            for target in (h, reverse(h)):
                 assert search_balanced_realization(
-                    h, 3, direction
-                ) == oracle_search_balanced_realization(h, 3, direction), sorted(h.edges)
+                    target, 3
+                ) == oracle_search_balanced_realization(target, 3), sorted(h.edges)
 
 
 # The first hit of plain enumeration at k = 3 for the first labelled member
@@ -695,8 +694,28 @@ class TestPinnedFirstHits:
         )
         for h in classes:
             pinned = FIRST_HITS_FOUR_VERTICES_THREE_FACES[tuple(sorted(h.edges))]
-            for direction, text in zip((WINNER_TO_LOSER, LOSER_TO_WINNER), pinned):
-                assert search_balanced_realization(h, 3, direction) == _dice(text)
+            for target, text in zip((h, reverse(h)), pinned):
+                assert search_balanced_realization(target, 3) == _dice(text)
+
+    def test_loser_to_winner_through_the_command_line(self, capsys, tmp_path):
+        # the second column, printed by dice realize; a failed search names
+        # the complete dicut of the target as written, not of its reverse
+        path = tmp_path / "target.txt"
+        for h in isomorphism_class_representatives(4):
+            d = _dice(FIRST_HITS_FOUR_VERTICES_THREE_FACES[tuple(sorted(h.edges))][1])
+            path.write_text(serialize_edge_list(h))
+            argv = ["dice", "realize", str(path), "-k", "3", "--direction", LOSER_TO_WINNER]
+            code, out = main(argv), capsys.readouterr().out
+            if d is not None:
+                assert (code, out) == (0, f"{serialize_dice(d)}p: {is_balanced(d)[1]}\n")
+            else:
+                cert = find_complete_dicut(h)
+                assert cert is not None, sorted(h.edges)
+                assert (code, out) == (
+                    1,
+                    "no balanced realization with 3-sided dice\n"
+                    f"{format_certificate(cert)}\n",
+                )
 
 
 class TestRealizationClaim:

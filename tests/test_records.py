@@ -1,10 +1,10 @@
-"""The seven result records: repr, equality, hashing and immutability.
+"""The six result records: repr, equality, hashing and immutability.
 
-``Condensation``, ``ExtensionPlan``, ``BoundsReport``, ``WinMatrix`` and
-``AnalysisReport`` are named tuples; ``DicutCertificate`` and ``DiceSet``
-are classes that check their one field.  Each repr below is pinned to the
-text the records printed as frozen dataclasses, and each record compares
-and hashes by value and refuses assignment and deletion.
+``Condensation``, ``ExtensionPlan``, ``BoundsReport`` and ``AnalysisReport``
+are named tuples; ``DicutCertificate`` and ``DiceSet`` are classes that
+check their one field.  Each repr below is pinned to the text the records
+printed as frozen dataclasses, and each record compares and hashes by value
+and refuses assignment and deletion.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from strongext import (
     bounds,
     extend,
     strong_components,
-    win_matrix,
 )
 from strongext.cli import analyze
 
@@ -43,10 +42,6 @@ RECORDS = [
         lambda: bounds(PATH3),
         "BoundsReport(lower=1, lower_matched=None, upper_theorem=2, "
         "upper_cyclic=None, upper_prop=None, brute_min=1)",
-    ),
-    (
-        lambda: win_matrix(DiceSet(((1, 4), (2, 3)))),
-        "WinMatrix(counts=((0, 2), (2, 0)), sides=2)",
     ),
     (
         lambda: analyze(TT3),

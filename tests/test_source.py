@@ -78,6 +78,20 @@ def test_every_export_has_a_caller_in_the_package():
     assert sorted(exported - loaded) == []
 
 
+def test_orientation_is_decided_in_the_cli():
+    # the library's beats digraph runs winner-to-loser only; the command
+    # line alone names the two orientations and reverses for the other
+    package = Path(strongext.__file__).parent
+    named = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and node.value in ("winner-to-loser", "loser-to-winner")
+    }
+    assert named == {"cli.py"}
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never loads; ``from __future__`` is
     exempt, since it binds no name the module reads."""
