@@ -338,27 +338,39 @@ def cmd_gen(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    call of main; callers must not modify it."""
+def _parsers() -> tuple[
+    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
+]:
+    """The root parser, and each command's own parser keyed by the words
+    that name it, as the root hands arguments to it.  Built once per
+    process and shared by every call of main; callers must not modify
+    them."""
     parser = argparse.ArgumentParser(
         prog="strongext",
         description="Decide strong connectability of strict digraphs, "
         "construct extensions, and evaluate dice sets.",
     )
+    commands = {}
+
+    def command(sub, words: tuple[str, ...], func, help: str):
+        # the words go in as defaults under the subparsers' dests, so the
+        # command's namespace equals the one the root builds
+        p = sub.add_parser(words[-1], help=help)
+        p.set_defaults(func=func, **dict(zip(("command", "dice_command"), words)))
+        commands[words] = p
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full verdict/plan/bounds report")
+    p = command(sub, ("analyze",), cmd_analyze, "full verdict/plan/bounds report")
     p.add_argument("file", help="edge-list file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("certify", help="emit or verify a certificate")
+    p = command(sub, ("certify",), cmd_certify, "emit or verify a certificate")
     p.add_argument("file", help="edge-list file")
     p.add_argument("--verify", metavar="CERT", help="certificate file to check")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("extend", help="construct a strong extension")
+    p = command(sub, ("extend",), cmd_extend, "construct a strong extension")
     p.add_argument("file", help="edge-list file")
     p.add_argument(
         "--minimize",
@@ -366,41 +378,71 @@ def build_parser() -> argparse.ArgumentParser:
         help="brute-force the exact minimum (small inputs only)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("bounds", help="report extension-size bounds")
+    p = command(sub, ("bounds",), cmd_bounds, "report extension-size bounds")
     p.add_argument("file", help="edge-list file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_bounds)
 
     dice = sub.add_parser("dice", help="dice-set commands")
     dice_sub = dice.add_subparsers(dest="dice_command", required=True)
 
-    p = dice_sub.add_parser("eval", help="win matrix, balance, beats digraph")
+    p = command(
+        dice_sub,
+        ("dice", "eval"),
+        cmd_dice_eval,
+        "win matrix, balance, beats digraph",
+    )
     p.add_argument("file", help="dice file, one die per line")
     _add_direction(p, "beats-digraph edge direction")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_dice_eval)
 
-    p = dice_sub.add_parser("realize", help="search dice realizing a digraph")
+    p = command(
+        dice_sub,
+        ("dice", "realize"),
+        cmd_dice_realize,
+        "search dice realizing a digraph",
+    )
     p.add_argument("file", help="edge-list file for the target digraph")
     p.add_argument("-k", type=int, required=True, help="faces per die")
     _add_direction(p, "how target edges map to wins")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_dice_realize)
 
-    p = sub.add_parser("gen", help="generate example digraphs")
+    p = command(sub, ("gen",), cmd_gen, "generate example digraphs")
     p.add_argument("family", choices=sorted(GEN_FAMILIES))
     p.add_argument("params", nargs="*", type=int)
-    p.set_defaults(func=cmd_gen)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of main; callers must not modify it."""
+    return _parsers()[0]
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace, as the root parser gives it.
+
+    When argv starts with a command's words, the rest goes straight to
+    that command's parser, the one the root would hand it to; walking the
+    root and its subparsers costs more than some commands themselves.
+    Help, words that name no command, and arguments the command leaves
+    over go to the root, so usage, errors and exit codes stay the root's.
+    """
+    root, commands = _parsers()
+    for words in (tuple(argv[:1]), tuple(argv[:2])):
+        parser = commands.get(words)
+        if parser is not None:
+            args, rest = parser.parse_known_args(argv[len(words):])
+            if not rest:
+                return args
+            break
+    return root.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

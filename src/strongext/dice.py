@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from math import isqrt
 from typing import TYPE_CHECKING
 
 from .digraph import StrictDigraph, _Frozen, _content_lines
@@ -253,12 +254,15 @@ def search_balanced_realization(h: StrictDigraph, k: int) -> DiceSet | None:
     A pair's P is the larger of its two final counts, so every completion's
     common P lies in the window [low, high] between the largest of the
     pairs' least P (and ⌊k²/2⌋ + 1) and the smallest of their greatest P
-    (and k(k - 1)).  That last bound holds for every accepted deal: a die
-    wins more than k(k - 1) of the k² face pairs against another only if
-    its top face is higher, since otherwise the other's top face beats all
-    k of its faces.  So at a common P above k(k - 1) every pair's winner
-    has the higher top face, the beats tournament is the top-face order,
-    and it has no cycle.  The deal starts at [⌊k²/2⌋ + 1, k(k - 1)].  A
+    (and T, the largest P with P² + P·k² < k⁴).  That last bound holds for
+    every accepted deal.  Its beats tournament has a cycle, so it has a
+    3-cycle: three dice each winning P of the k² face pairs against the
+    next.  Three independent dice cannot all win at more than (√5 - 1)/2
+    (Steinhaus and Trybuła, Bull. Acad. Polon. Sci. 7, 1959), and that
+    bound is irrational, so P/k² < (√5 - 1)/2, which is (2P + k²)² < 5k⁴,
+    or P² + P·k² < k⁴.  So T = ⌊(√5 - 1)k²/2⌋ = (⌊√5·k²⌋ - k²) // 2: 5, 9,
+    15, 22, 30 at k = 3 to 7, below k(k - 1) at every k >= 3, and below
+    ⌊k²/2⌋ + 1 at k <= 2.  The deal starts at [⌊k²/2⌋ + 1, T].  A
     face on die i changes only the n - 1 pairs through i, whose least P can
     only rise and greatest P only fall, so each deal narrows the window it
     was handed by those pairs alone and holds the window of all pairs.  A
@@ -281,10 +285,11 @@ def search_balanced_realization(h: StrictDigraph, k: int) -> DiceSet | None:
         raise TooSmallError(f"need at least 3 dice, got {h.n}")
     if k < 1:
         raise InvalidDiceError(f"dice must have at least one face, got {k}")
-    # every pair must end at one common P in [total // 2 + 1, k (k - 1)]
-    # wins for its winner (see Window); that is empty exactly when k <= 2
+    # every pair must end at one common P in [total // 2 + 1, T] wins for
+    # its winner, T the largest P with P² + P·total < total² (see Window);
+    # that is empty exactly when k <= 2
     total = k * k
-    low, high = total // 2 + 1, total - k
+    low, high = total // 2 + 1, (isqrt(5 * total * total) - total) // 2
     if low > high or not _has_cyclic_completion(h):
         return None
     if _over_budget(h.n, k):

@@ -509,9 +509,10 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
         else enter_bit.get(comp[v], 0) | leave_bit.get(comp[u], 0)
         for u, v in candidates
     ]
-    last = [-1] * (cond.s + cond.t)  # last candidate meeting each need
+    needs = cond.s + cond.t
+    last = [-1] * needs  # last candidate meeting each need
     for j, bits in enumerate(serves):
-        for i in range(cond.s + cond.t):
+        for i in range(needs):
             if bits >> i & 1:
                 last[i] = j
     source_bits = (1 << cond.s) - 1
@@ -559,7 +560,7 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
             in_mask[v] ^= 1 << u
         return False
 
-    unmet = (1 << cond.s + cond.t) - 1
+    unmet = (1 << needs) - 1
     for size in range(max(cond.s, cond.t, 1), len(pairs) + 1):
         if search(0, size, unmet):
             return tuple(candidates[j] for j in chosen)

@@ -827,6 +827,52 @@ class TestParserReuse:
         assert isinstance(build_parser(), argparse.ArgumentParser)
 
 
+class RootParsed(Exception):
+    pass
+
+
+class TestCommandParsers:
+    """A command's arguments go to that command's own parser; the root
+    parser runs only for help, unknown words and leftover arguments."""
+
+    @staticmethod
+    def refuse_root(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RootParsed
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(build_parser(), name, refuse)
+
+    def test_commands_skip_the_root(self, capsys, write, monkeypatch):
+        graph, dice = write(PATH3), write(ROCK_PAPER, "dice.txt")
+        cert = write(run(capsys, "certify", graph)[1], "cert.txt")
+        calls = [
+            ("analyze", graph),
+            ("analyze", graph, "--json"),
+            ("certify", graph),
+            ("certify", graph, "--verify", cert),
+            ("extend", graph, "--json"),
+            ("bounds", graph),
+            ("dice", "eval", dice),
+            ("dice", "realize", graph, "-k", "3"),
+            ("gen", "cycles", "3", "2"),
+        ]
+        unpatched = [run(capsys, *argv) for argv in calls]
+        assert {code for code, _, _ in unpatched} == {0}
+        self.refuse_root(monkeypatch)
+        assert [run(capsys, *argv) for argv in calls] == unpatched
+
+    def test_leftovers_reach_the_root(self, capsys, write, monkeypatch):
+        graph = write(PATH3)
+        code, out, err = run(capsys, "analyze", graph, "extra")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: strongext [-h]")
+        assert err.endswith("error: unrecognized arguments: extra\n")
+        self.refuse_root(monkeypatch)
+        with pytest.raises(RootParsed):
+            main(["analyze", graph, "extra"])
+
+
 class TestFreshProcess:
     """``python -m strongext.cli`` in a new interpreter, with and without -O."""
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from strongext.cli import main
+from strongext.cli import _parse_argv, build_parser, main
 from strategies import dice_sets, strict_edge_sets
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -301,3 +301,59 @@ def test_every_call_keeps_the_contract(workdir, call):
     else:
         problem = checks.check_analyze(n, edges, result.out, result.code, "--json" in argv)
     assert problem is None, (call, result)
+
+
+# argument lists for the parse alone: command words, option spellings,
+# abbreviations, attached values and stray words; no file is read
+ARGV_HEADS = [
+    (),
+    *((word,) for word in ("analyze", "certify", "extend", "bounds", "gen", "dice")),
+    ("dice", "eval"),
+    ("dice", "realize"),
+    ("dice", "x"),
+]
+ARGV_WORDS = [
+    "analyze", "certify", "extend", "bounds", "gen", "dice", "eval", "realize",
+    "--json", "--js", "--verify", "--verify=c.txt", "--minimize", "--min",
+    "-k", "-k3", "-k=3", "-kx", "3", "-3",
+    "--direction", "--dir", "winner-to-loser", "loser-to-winner", "sideways",
+    "-h", "--help", "--", "-", "tt-minus-path", "bipartite", "cycles",
+    "x", "g.txt", "c.txt",
+]
+
+
+@st.composite
+def argv_lists(draw):
+    head = draw(st.sampled_from(ARGV_HEADS))
+    rest = draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=6 - len(head)))
+    return [*head, *rest]
+
+
+def parse_outcome(parse, argv: list[str]):
+    """Exit code (None when the parse returns), stdout, stderr and the
+    namespace's fields of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code = fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=argv_lists())
+@example(argv=["analyze", "g.txt", "x"])
+@example(argv=["analyze", "g.txt", "--js"])
+@example(argv=["dice", "realize", "g.txt"])
+@example(argv=["dice", "realize", "g.txt", "-k3", "--dir", "loser-to-winner"])
+@example(argv=["--", "analyze", "g.txt"])
+@example(argv=["analyze", "--", "g.txt"])
+@example(argv=["gen", "cycles", "3", "-3"])
+def test_command_parsers_parse_as_the_root_does(argv):
+    # main hands argv to the command's own parser; every outcome must be
+    # the root parser's, on every argparse the package supports
+    outcome = parse_outcome(_parse_argv, argv)
+    event(f"exit {outcome[0]}")
+    assert outcome == parse_outcome(build_parser().parse_args, argv)
