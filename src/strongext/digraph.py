@@ -10,8 +10,8 @@ import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, floordiv, itemgetter, mod, not_
+from itertools import accumulate, compress, islice, repeat
+from operator import add, floordiv, mod, not_
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -110,12 +110,11 @@ class StrictDigraph(_Frozen):
         """The condensation ``strong_components`` returns, built once."""
         # the numbering below does not depend on the order Tarjan visits edges
         # in, so the adjacency lists need no sorting
-        raw_of, raw_members, raw_succs = _tarjan_sccs(self.n, self._out_lists)
+        raw_of, raw_members, raw_succs, indeg, tree_of, joins = _tarjan_sccs(
+            self.n, self._out_lists
+        )
         k = len(raw_members)
         # in-degrees count every edge into a component, as the decrements do
-        indeg = [0] * k
-        for j in chain.from_iterable(raw_succs):
-            indeg[j] += 1
         raw_sources = list(compress(range(k), map(not_, indeg)))
         # components are keyed by their smallest vertex, which is unique
         heap = [raw_members[i][0] for i in raw_sources]
@@ -130,44 +129,52 @@ class StrictDigraph(_Frozen):
                     heappush(heap, raw_members[j][0])
         # the inverse of the permutation order
         renumber = sorted(range(k), key=order.__getitem__).__getitem__
-        component_of = tuple(map(renumber, raw_of))
-        components = tuple(map(raw_members.__getitem__, order))
         successors = tuple(
             frozenset(map(renumber, raw_succs[i])) if raw_succs[i] else _NO_SUCCESSORS
             for i in order
         )
-        # weak components by one undirected search over the quotient; starting
-        # from components in order of smallest vertex numbers them by smallest
-        # member
-        neighbours: list[list[int]] = [[*targets] for targets in successors]
-        for a, targets in enumerate(successors):
-            for b in targets:
-                neighbours[b].append(a)
-        weak_of = [-1] * k
-        groups: list[tuple[int, ...]] = []
-        firsts = sorted(map(itemgetter(0), components))
-        for start in map(component_of.__getitem__, firsts):
-            if not neighbours[start]:  # no quotient edge: a weak component of its own
-                groups.append((start,))
-                continue
-            if weak_of[start] >= 0:
-                continue
-            weak_of[start] = len(groups)
-            group = [start]
-            for cid in group:  # grows while it is read: a breadth-first search
-                for other in neighbours[cid]:
-                    if weak_of[other] < 0:
-                        weak_of[other] = weak_of[start]
-                        group.append(other)
-            group.sort()
-            groups.append(tuple(group))
+        del raw_succs, indeg  # freed before the grouping below allocates
+        # weak components from the DFS forest: each tree lies inside one, and
+        # a join glues a tree to an earlier one.  The union-find over the
+        # trees links the later of two roots under the earlier, so a tree's
+        # parent never comes after it: one pass in tree order numbers the
+        # roots in order and gives every other tree its parent's id.  A
+        # tree's root is its smallest vertex, and roots increase, so weak
+        # ids follow smallest members
+        weak_of, count = tree_of, tree_of[-1] + 1 if k else 0  # a tree each
+        if joins:
+            parent = list(range(count))
+            for a, c in joins:
+                b = tree_of[c]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+            weak_of_tree: list[int] = []
+            count = 0
+            for tree, p in enumerate(parent):
+                if p == tree:
+                    weak_of_tree.append(count)
+                    count += 1
+                else:
+                    weak_of_tree.append(weak_of_tree[p])
+            weak_of = list(map(weak_of_tree.__getitem__, tree_of))
+        # visiting the new ids in increasing order fills each group sorted;
+        # they are renumber's objects, which component_of shares
+        groups: list[list[int]] = [[] for _ in range(count)]
+        for raw in order:
+            groups[weak_of[raw]].append(renumber(raw))
         return Condensation(
-            component_of=component_of,
-            components=components,
+            component_of=tuple(map(renumber, raw_of)),
+            components=tuple(map(raw_members.__getitem__, order)),
             successors=successors,
             source_components=frozenset(map(renumber, raw_sources)),
             sink_components=frozenset(compress(range(k), map(not_, successors))),
-            weak_groups=tuple(groups),
+            weak_groups=tuple(map(tuple, groups)),
         )
 
     @cached_property
@@ -300,6 +307,7 @@ def _neighbour_lists(n: int, tails: list[int], heads: list[int]) -> list[list[in
 # body must be empty or end in "\n", and it must split into two tokens per
 # line, which rules out an empty token such as the first one of " 1\n".
 _CANONICAL_HEADER = re.compile(r"n ([0-9]{1,7})\n", re.ASCII)
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def parse_edge_list(text: str) -> StrictDigraph:
@@ -326,7 +334,7 @@ def parse_edge_list(text: str) -> StrictDigraph:
     if (
         n > MAX_VERTICES
         or (body and not body.endswith("\n"))
-        or body.translate(str.maketrans("", "", "0123456789")) != " \n" * lines
+        or body.translate(_DELETE_DIGITS) != " \n" * lines
     ):
         return _parse_lines(text)
     tokens = body.split()
@@ -471,19 +479,34 @@ _NO_SUCCESSORS: frozenset[int] = frozenset()
 
 def _tarjan_sccs(
     n: int, adj: list[list[int]]
-) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
-    """Iterative Tarjan strongly connected components, with their quotient.
+) -> tuple[
+    list[int],
+    list[tuple[int, ...]],
+    list[list[int]],
+    list[int],
+    list[int],
+    list[tuple[int, int]],
+]:
+    """Iterative Tarjan strongly connected components, with their quotient
+    and their DFS forest.
 
     Components are numbered in the order Tarjan finishes them, so every
     quotient edge goes to a lower number.  Returns each vertex's component,
-    each component's sorted vertices, and each component's successors,
-    listed once per edge of the digraph into them.
+    each component's sorted vertices, each component's successors, listed
+    once per edge of the digraph into them, and the number of those edges
+    entering each component.  The DFS trees are numbered in the order of
+    their roots, which are tried in increasing order; it also returns each
+    component's tree, and the joins: a pair (tree, component) for each edge
+    from a tree into a component of an earlier one.
 
     An edge to a vertex still on the stack stays inside a component; an
     edge to a finished vertex is a quotient edge, and its target's number is
     pushed on ``cross`` while the tail's component is open.  When a
     component closes, the entries above the mark taken at its root's entry
-    are its successors.
+    are its successors.  An edge between two trees always enters the
+    earlier one, or the earlier search would have reached its head, so it
+    is a quotient edge whose target is numbered below the current tree's
+    first component.
     """
     index = [-1] * n
     low = [0] * n
@@ -492,16 +515,24 @@ def _tarjan_sccs(
     cross: list[int] = []
     members: list[tuple[int, ...]] = []
     succs: list[list[int]] = []
+    indeg: list[int] = []
+    trees: list[int] = []
+    joins: list[tuple[int, int]] = []
     counter = 0
+    tree = -1
     for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
+        tree += 1
+        first = len(members)
         if not adj[root]:  # a component by itself, with no successors
-            comp[root] = len(members)
+            comp[root] = first
             members.append((root,))
             succs.append([])
+            indeg.append(0)
+            trees.append(tree)
             continue
         stack.append(root)
         # a frame: vertex, its unexamined neighbours, its stack position and
@@ -520,6 +551,9 @@ def _tarjan_sccs(
                         low_v = index_w
                 else:
                     cross.append(comp_w)
+                    indeg[comp_w] += 1
+                    if comp_w < first:
+                        joins.append((tree, comp_w))
             else:
                 work.pop()
                 if low_v == index[v]:
@@ -537,8 +571,14 @@ def _tarjan_sccs(
                         members.append(tuple(block))
                     succs.append(cross[mark:])
                     del cross[mark:]
+                    trees.append(tree)
+                    # no edge entered the component before it closed; the
+                    # tree edge from its parent, if any, is the first
                     if work:
                         cross.append(cid)
+                        indeg.append(1)
+                    else:
+                        indeg.append(0)
                 else:
                     low[v] = low_v
                     if work:
@@ -551,16 +591,18 @@ def _tarjan_sccs(
             counter += 1
             work.append((w, iter(adj[w]), len(stack), len(cross)))
             stack.append(w)
-    return comp, members, succs
+    return comp, members, succs, indeg, trees, joins
 
 
 def strong_components(g: StrictDigraph) -> Condensation:
     """Condensation of g with deterministically numbered components.
 
-    One Tarjan pass over the out-neighbour lists yields the components and
-    the quotient; renumbering, sources, sinks and weak components then cost
-    time in the number of components and quotient edges only.  It runs once
-    per digraph: every call on g returns the same immutable object.
+    One Tarjan pass over the out-neighbour lists yields the components, the
+    quotient with its in-degrees, and the DFS forest: each tree lies in one
+    weak component, and the edges between trees join them into the rest.
+    Renumbering, sources, sinks and weak components then cost time in the
+    number of components, trees and quotient edges only.  It runs once per
+    digraph: every call on g returns the same immutable object.
     """
     return g._condensation
 

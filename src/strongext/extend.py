@@ -105,26 +105,30 @@ class _Growth:
     """
 
     def __init__(self, g: StrictDigraph, cond: Condensation, links: list[Edge]):
+        components = cond.components
         if links:
             quotient = list(cond.successors)
             for u, v in links:
                 quotient[cond.component_of[u]] |= {cond.component_of[v]}
-            # Tarjan numbers components so that quotient edges go to lower ids
-            of_cid, groups, successors = _tarjan_sccs(cond.r, quotient)
+            # Tarjan numbers components so that quotient edges go to lower ids;
+            # its DFS forest is not needed here
+            of_cid, groups, successors, *_ = _tarjan_sccs(cond.r, quotient)
+            self.label = list(map(of_cid.__getitem__, cond.component_of))
+            self.vertices = [
+                [v for q in group for v in components[q]] for group in groups
+            ]
             order = range(len(groups))
         else:
             # g's own components, whose quotient edges go to higher ids
-            of_cid, groups = range(cond.r), [(cid,) for cid in range(cond.r)]
+            self.label = list(cond.component_of)
+            self.vertices = list(map(list, components))
             successors, order = cond.successors, range(cond.r - 1, -1, -1)
         self.all_vertices = (1 << g.n) - 1
-        self.label = list(map(of_cid.__getitem__, cond.component_of))
-        components = cond.components
-        self.vertices = [[v for q in group for v in components[q]] for group in groups]
-        self.live = len(groups)
+        self.live = len(self.vertices)
         self.members = members = [sum(1 << v for v in comp) for comp in self.vertices]
         # order lists every component after its successors
         self.down = down = members[:]
-        self.preds = preds = [0] * len(groups)
+        self.preds = preds = [0] * self.live
         for cid in order:
             mask = down[cid]
             for b in successors[cid]:
@@ -457,9 +461,10 @@ def brute_force_min_extension(g: StrictDigraph) -> tuple[int, ExtensionPlan] | N
     one edge serves at most one of each: sizes below max(s, t) are skipped,
     and a partial set is abandoned when the picks left cannot serve the
     components still unserved, or when one of those has no serving candidate
-    left in the order.  Neither cut removes a set that could succeed, so the
-    first strong set found is the one plain enumeration finds.  Like
-    ``extend`` and ``bounds``, it needs at least 3 vertices.
+    left in the order.  An added edge whose tail already reaches its head
+    is never tried.  No cut removes a minimum strong set, so the first
+    strong set found is the one plain enumeration finds.  Like ``extend``
+    and ``bounds``, it needs at least 3 vertices.
     """
     _require_order(g)
     cond = strong_components(g)
@@ -482,7 +487,15 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
 
     A strong g gets () with no search.  Otherwise the budget is checked
     before anything is built: BudgetError unless ``_within_search_budget``
-    takes g."""
+    takes g.
+
+    A candidate (a, b) is dropped when a's component already reaches b's in
+    g, as when both lie in one component: a path a -> ... -> b in g can
+    stand in for the edge, so adding it to g plus any set reaches nothing
+    new.  A strong set holding such an edge stays strong without it, so no
+    minimum set holds one.  The kept candidates are a subsequence of the
+    full order, so sets of them keep their relative order, and the first
+    strong set found, a minimum one, is the one the full order gives."""
     if cond.r == 1:
         return ()
     if not _within_search_budget(g):
@@ -493,21 +506,30 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
         )
     pairs = g.nonadjacent_pairs()
     full = (1 << g.n) - 1
-    candidates = sorted(edge for u, v in pairs for edge in ((u, v), (v, u)))
+    comp = cond.component_of
+    # reach[cid]: the components cid reaches, itself included, as a bitmask;
+    # quotient edges go to higher ids, so the successors' masks come first
+    reach = [1 << cid for cid in range(cond.r)]
+    for cid in range(cond.r - 1, -1, -1):
+        for b in cond.successors[cid]:
+            reach[cid] |= reach[b]
+    candidates = sorted(
+        (a, b)
+        for u, v in pairs
+        for a, b in ((u, v), (v, u))
+        if not reach[comp[a]] >> comp[b] & 1
+    )
     count = len(candidates)
     # one bit per need: bit i for the i-th source component, which needs an
     # entering edge, bit s + i for the i-th sink component, which needs a
-    # leaving one; serves[j] holds the needs candidate j meets
+    # leaving one; serves[j] holds the needs candidate j meets, which joins
+    # two components, as every kept candidate does
     sources = sorted(cond.source_components)
     sinks = sorted(cond.sink_components)
     enter_bit = {cid: 1 << i for i, cid in enumerate(sources)}
     leave_bit = {cid: 1 << cond.s + i for i, cid in enumerate(sinks)}
-    comp = cond.component_of
     serves = [
-        0
-        if comp[u] == comp[v]
-        else enter_bit.get(comp[v], 0) | leave_bit.get(comp[u], 0)
-        for u, v in candidates
+        enter_bit.get(comp[v], 0) | leave_bit.get(comp[u], 0) for u, v in candidates
     ]
     needs = cond.s + cond.t
     last = [-1] * needs  # last candidate meeting each need
@@ -534,11 +556,12 @@ def _min_extension_search(g: StrictDigraph, cond: Condensation) -> tuple[Edge, .
         return seen == full
 
     def search(start: int, picks: int, unmet: int) -> bool:
-        if picks == 0:
-            return reaches_all(out_mask) and reaches_all(in_mask)
+        # before the leaf test: a leaf with a need unmet is not strong
         sources_unmet = (unmet & source_bits).bit_count()
         if sources_unmet > picks or unmet.bit_count() - sources_unmet > picks:
             return False
+        if picks == 0:
+            return reaches_all(out_mask) and reaches_all(in_mask)
         # the next pick may not pass the last candidate meeting an unmet need
         stop = count - picks
         for i, j in enumerate(last):

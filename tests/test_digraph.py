@@ -721,7 +721,7 @@ class TestCondensationMatchesOracle:
 
     def test_long_path_does_not_recurse(self):
         # 20 000 nested visits, far past the interpreter's recursion limit,
-        # in Tarjan and in the weak-component search alike
+        # in Tarjan's DFS, whose forest also gives the weak components
         n = 20_000
         g = StrictDigraph(n, frozenset((v, v + 1) for v in range(n - 1)))
         cond = strong_components(g)
@@ -735,6 +735,32 @@ class TestCondensationMatchesOracle:
             n = rng.randint(10, 60)
             g = StrictDigraph(n, _relabelled_blobs(rng, n))
             assert_matches_oracle(g)
+
+    def test_sparse_many_trees(self):
+        # n/2 random edges: many DFS trees, many of them joined to earlier
+        # ones, which small drawn digraphs rarely have
+        rng = Random(11)
+        for _ in range(30):
+            n = rng.randint(50, 160)
+            edges = set()
+            while len(edges) < n // 2:
+                u, v = rng.sample(range(n), 2)
+                if (v, u) not in edges:
+                    edges.add((u, v))
+            g = StrictDigraph(n, frozenset(edges))
+            assert 1 < strong_components(g).c < n
+            assert_matches_oracle(g)
+
+    def test_tree_joining_three_earlier_trees(self):
+        # DFS trees by root: {0, 1}, {2}, {3, 4, 6} (a 3-cycle), {5}, {7}, {8}.
+        # Tree {5} joins the first through 1, not in its root's component,
+        # the second, and the third; tree {8} joins tree {7}
+        edges = [(0, 1), (3, 4), (4, 6), (6, 3), (5, 1), (5, 2), (5, 4), (8, 7)]
+        g = StrictDigraph(9, edges)
+        cond = strong_components(g)
+        assert (cond.r, cond.c) == (7, 2)
+        assert weak_blocks(g) == ((0, 1, 2, 3, 4, 5, 6), (7, 8))
+        assert_matches_oracle(g)
 
 
 def _relabelled_blobs(rng: Random, n: int) -> frozenset:

@@ -852,20 +852,37 @@ def min_extension_corpus() -> tuple[list[StrictDigraph], list[StrictDigraph]]:
 
 
 class TestSearchWork:
+    @staticmethod
+    def sample():
+        return [g for g in criterion_sample(77, 300) if _within_search_budget(g)]
+
     def test_search_nodes_on_a_criterion_sample(self):
         # the cuts of the minimum-extension search leave every minimum
         # alone, so only the node count shows a weakened one: dropping the
         # need-count or the last-candidate cut, or starting at size 1,
-        # visits 281 433, 9 249 or 7 318 nodes here.  A change to a cut
-        # re-pins the count
-        sample = [g for g in criterion_sample(77, 300) if _within_search_budget(g)]
+        # visits 232 321, 8 053 or 6 349 nodes here, and keeping the
+        # candidates whose tail already reaches their head 6 850.  A change
+        # to a cut re-pins the count
+        sample = self.sample()
         nodes, minima = inner_calls(
             _min_extension_search,
             "search",
             lambda: [brute_force_min_extension(g)[0] for g in sample],
         )
         assert (len(sample), sum(minima)) == (298, 766)
-        assert nodes == 6_850
+        assert nodes == 5_881
+
+    def test_leaves_with_a_need_unmet_are_not_searched(self):
+        # the need count is checked before the leaf's strongness test, so
+        # most leaves cost no reachability search: testing every leaf first
+        # costs 4 065 of them here
+        sample = self.sample()
+        searches, _ = inner_calls(
+            _min_extension_search,
+            "reaches_all",
+            lambda: [brute_force_min_extension(g) for g in sample],
+        )
+        assert searches == 601
 
 
 class TestBruteForceMatchesOracle:
