@@ -16,11 +16,9 @@ from .dice import (
     win_matrix,
 )
 from .dicut import (
-    DicutCertificate,
     find_complete_dicut,
     format_added_edges,
     format_certificate,
-    parse_certificate,
     verify_certificate,
     verify_complete_dicut,
 )
@@ -38,7 +36,6 @@ from .errors import (
     BudgetError,
     EmptyGraphError,
     HasCompleteDicutError,
-    InvalidCertificateError,
     InvalidDiceError,
     InvalidInputError,
     ParseError,

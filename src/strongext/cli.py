@@ -24,7 +24,6 @@ from .dice import (
     win_matrix,
 )
 from .dicut import (
-    DicutCertificate,
     find_complete_dicut,
     format_added_edges,
     format_certificate,
@@ -64,7 +63,7 @@ VERDICT_TOO_SMALL = "too-small"
 class AnalysisReport(NamedTuple):
     verdict: str
     summary: Condensation | None = None
-    certificate: DicutCertificate | None = None
+    certificate: tuple[int, ...] | None = None
     plan: ExtensionPlan | None = None
     bounds_report: BoundsReport | None = None
 
@@ -89,7 +88,7 @@ class AnalysisReport(NamedTuple):
     def to_json(self) -> str:
         payload: dict = {"verdict": self.verdict}
         if self.certificate is not None:
-            payload["dicut"] = list(self.certificate.sorted_vertices())
+            payload["dicut"] = list(self.certificate)
         if self.summary is not None:
             payload["summary"] = _summary_dict(self.summary)
         if self.plan is not None:
@@ -308,7 +307,7 @@ def cmd_dice_realize(args) -> int:
             "reason": "complete-dicut" if cert is not None else "search-exhausted",
         }
         if cert is not None:
-            payload["dicut"] = list(cert.sorted_vertices())
+            payload["dicut"] = list(cert)
         sys.stdout.write(_dump(payload))
         return 1
     print(f"no balanced realization with {args.k}-sided dice")
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
         return 3
     except HasCompleteDicutError as exc:
         if getattr(args, "json", False):
-            sys.stdout.write(_dump({"dicut": list(exc.certificate.sorted_vertices())}))
+            sys.stdout.write(_dump({"dicut": list(exc.certificate)}))
         else:
             print(format_certificate(exc.certificate))
         return 1

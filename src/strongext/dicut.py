@@ -3,7 +3,8 @@
 A dicut [X, X^c] is a vertex split with no edge from X^c into X.  It is
 complete when every one of the |X| * |X^c| forward edges is present.  A
 complete dicut can never be destroyed by adding edges to a strict digraph,
-so its originating side X certifies that no strong extension exists.
+so its originating side X, held as the sorted tuple of its vertices,
+certifies that no strong extension exists.
 
 ``find_complete_dicut`` decides by the score sequence d(v) = out(v) - in(v):
 one pass over the edges and a sort of the n vertices, run once per digraph.
@@ -24,29 +25,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import sub
 
-from .digraph import Edge, StrictDigraph, _Frozen, _content_lines, is_strong
-from .errors import InvalidCertificateError, ParseError
+from .digraph import Edge, StrictDigraph, _content_lines, is_strong
+from .errors import ParseError
 
 
-class DicutCertificate(_Frozen):
-    """Originating side X of a complete dicut, immutable.
-
-    Any iterable of vertices is accepted and held as the frozenset
-    ``origin``.  Two certificates are equal when their sides are.
-    """
-
-    origin: frozenset[int]
-    _key = ("origin",)
-
-    def __init__(self, origin: Iterable[int]):
-        vars(self)["origin"] = frozenset(origin)
-
-    def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.origin))
-
-
-def format_certificate(cert: DicutCertificate) -> str:
-    inner = ", ".join(str(v) for v in cert.sorted_vertices())
+def format_certificate(side: Iterable[int]) -> str:
+    """The ``dicut:`` line of a side, as ``verify_certificate`` reads it."""
+    inner = ", ".join(map(str, sorted(side)))
     return f"dicut: {{{inner}}}"
 
 
@@ -56,35 +41,14 @@ def format_added_edges(added: Iterable[Edge]) -> str:
     return "".join(f"+ {u} {v}\n" for u, v in added)
 
 
-def parse_certificate(text: str) -> DicutCertificate:
-    """Parse ``dicut: {v1, v2, ...}``."""
-    body = text.strip()
-    if not body.startswith("dicut:"):
-        raise InvalidCertificateError("expected 'dicut: {...}'")
-    rest = body[len("dicut:"):].strip()
-    if not (rest.startswith("{") and rest.endswith("}")):
-        raise InvalidCertificateError("expected '{v1, v2, ...}' after 'dicut:'")
-    inner = rest[1:-1].strip()
-    if not inner:
-        return DicutCertificate(frozenset())
-    try:
-        vertices = frozenset(int(token.strip()) for token in inner.split(","))
-    except ValueError:
-        raise InvalidCertificateError(f"bad vertex list {inner!r}") from None
-    return DicutCertificate(vertices)
-
-
-def verify_complete_dicut(g: StrictDigraph, cert: DicutCertificate) -> bool:
-    """Check the two complete-dicut conditions in one pass over the edges:
-    no edge enters X, and |X| * |X^c| edges leave it."""
-    side = cert.origin
-    if not side:
-        raise InvalidCertificateError("certificate side must be nonempty")
-    if any(not 0 <= v < g.n for v in side):
-        raise InvalidCertificateError("certificate names a vertex outside the graph")
-    if len(side) == g.n:
-        raise InvalidCertificateError("certificate side must be a proper subset")
-    inside = [False] * g.n
+def verify_complete_dicut(g: StrictDigraph, side: Iterable[int]) -> bool:
+    """Whether side, any collection of vertices, is a nonempty proper subset
+    X of g's vertices that no edge enters and |X| * |X^c| edges leave."""
+    side = set(side)
+    n = g.n
+    if not 0 < len(side) < n or not all(0 <= v < n for v in side):
+        return False
+    inside = [False] * n
     for v in side:
         inside[v] = True
     # +1 for an edge leaving the side, -1 for one entering it, 0 otherwise
@@ -94,7 +58,7 @@ def verify_complete_dicut(g: StrictDigraph, cert: DicutCertificate) -> bool:
     if -1 in crossing:
         return False
     # edges are distinct, so |X| * |X^c| leaving edges are all the forward pairs
-    return crossing.count(1) == len(side) * (g.n - len(side))
+    return crossing.count(1) == len(side) * (n - len(side))
 
 
 def verify_certificate(g: StrictDigraph, text: str) -> bool:
@@ -109,17 +73,10 @@ def verify_certificate(g: StrictDigraph, text: str) -> bool:
     """
     lines = list(_content_lines(text))
     if lines and lines[0][1].startswith("dicut:"):
-        lineno, line = lines[0]
-        try:
-            cert = parse_certificate(line)
-        except InvalidCertificateError as exc:
-            raise ParseError(lineno, str(exc)) from None
+        side = _dicut_side(*lines[0])
         if len(lines) > 1:
             raise ParseError(lines[1][0], "a dicut certificate is one 'dicut:' line")
-        try:
-            return verify_complete_dicut(g, cert)
-        except InvalidCertificateError:  # not a nonempty proper subset of g's vertices
-            return False
+        return verify_complete_dicut(g, side)
     added = [_added_edge(lineno, line) for lineno, line in lines]
     if len(set(added)) != len(added):
         return False
@@ -127,6 +84,18 @@ def verify_certificate(g: StrictDigraph, text: str) -> bool:
         return is_strong(g.with_edges(added))
     except ValueError:  # a loop, an edge out of range, or one g has or reverses
         return False
+
+
+def _dicut_side(lineno: int, line: str) -> list[int]:
+    """The side of a ``dicut: {v1, v2, ...}`` certificate line."""
+    rest = line[len("dicut:"):].strip()
+    if not (rest.startswith("{") and rest.endswith("}")):
+        raise ParseError(lineno, "expected '{v1, v2, ...}' after 'dicut:'")
+    inner = rest[1:-1].strip()
+    try:
+        return [int(token) for token in inner.split(",")] if inner else []
+    except ValueError:
+        raise ParseError(lineno, f"bad vertex list {inner!r}") from None
 
 
 def _added_edge(lineno: int, line: str) -> Edge:
@@ -140,7 +109,7 @@ def _added_edge(lineno: int, line: str) -> Edge:
         raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
 
 
-def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
+def find_complete_dicut(g: StrictDigraph) -> tuple[int, ...] | None:
     """Complete-dicut detector by the score test, O(n + m + n log n).
 
     Let d(v) = out(v) - in(v).  For a vertex set X the edges inside X
@@ -153,9 +122,8 @@ def find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     d >= |X^c| - |X| + 1, more than any vertex outside, so any sort order
     is correct.  Complete dicuts form a chain, since two crossing ones would
     need an antiparallel pair; of these prefixes the one with the
-    lexicographically smallest sorted vertex list is returned, matching a
-    scan of every subset in lexicographic order.
+    lexicographically smallest sorted vertex list is returned, as that
+    sorted tuple, matching a scan of every subset in lexicographic order.
     """
     order, sizes, _ = g._dicut_chain
-    side = min((sorted(order[:k]) for k in sizes), default=None)
-    return None if side is None else DicutCertificate(side)
+    return min((tuple(sorted(order[:k])) for k in sizes), default=None)

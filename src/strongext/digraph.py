@@ -127,8 +127,11 @@ class StrictDigraph(_Frozen):
                 indeg[j] -= 1
                 if not indeg[j]:
                     heappush(heap, raw_members[j][0])
-        # the inverse of the permutation order
-        renumber = sorted(range(k), key=order.__getitem__).__getitem__
+        # the inverse of the permutation order, in one pass
+        new_id = [0] * k
+        for new, raw in enumerate(order):
+            new_id[raw] = new
+        renumber = new_id.__getitem__
         successors = tuple(
             frozenset(map(renumber, raw_succs[i])) if raw_succs[i] else _NO_SUCCESSORS
             for i in order

@@ -21,10 +21,6 @@ class EmptyGraphError(TooSmallError):
     """Graph has no vertices at all."""
 
 
-class InvalidCertificateError(StrongExtError):
-    """Certificate is structurally unusable: empty side, bad vertex, bad syntax."""
-
-
 class InvalidInputError(StrongExtError):
     """Input violates an operation precondition."""
 
@@ -40,9 +36,10 @@ class BudgetError(StrongExtError):
 class HasCompleteDicutError(StrongExtError):
     """The digraph admits a complete dicut, so no strong extension exists.
 
-    The blocking certificate is attached as ``certificate``.
+    The blocking certificate, the side of a complete dicut as the sorted
+    tuple of its vertices, is attached as ``certificate``.
     """
 
-    def __init__(self, certificate, message: str = "digraph has a complete dicut"):
-        super().__init__(message)
+    def __init__(self, certificate: tuple[int, ...]):
+        super().__init__("digraph has a complete dicut")
         self.certificate = certificate

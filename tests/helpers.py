@@ -19,7 +19,6 @@ from strongext import (
     BudgetError,
     Condensation,
     DiceSet,
-    DicutCertificate,
     ExtensionPlan,
     InvalidDiceError,
     StrictDigraph,
@@ -296,9 +295,10 @@ def _check_budget(n: int):
         )
 
 
-def brute_force_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
-    """First complete dicut in lexicographic subset order, by scanning every
-    proper nonempty subset; the tie-break the library's detector matches."""
+def brute_force_complete_dicut(g: StrictDigraph) -> tuple[int, ...] | None:
+    """Side of the first complete dicut in lexicographic subset order, as a
+    sorted tuple, by scanning every proper nonempty subset; the tie-break
+    the library's detector matches."""
     _check_budget(g.n)
     if g.n <= 1:
         return None
@@ -309,7 +309,7 @@ def brute_force_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
             continue
         comp = full ^ mask
         if _is_complete_dicut_mask(out, mask, comp):
-            return DicutCertificate(frozenset(_mask_vertices(mask)))
+            return tuple(_mask_vertices(mask))
     return None
 
 
@@ -329,7 +329,7 @@ def _is_complete_dicut_mask(out: list[int], mask: int, comp: int) -> bool:
     return True
 
 
-def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
+def oracle_find_complete_dicut(g: StrictDigraph) -> tuple[int, ...] | None:
     """Complete-dicut detector by merging blocks that must share a side.
 
     Non-adjacent vertices must share a side of any complete dicut, so start
@@ -340,9 +340,9 @@ def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
     tournament.  A complete dicut exists exactly when that tournament is not
     strong, and the candidate sides are the topological prefixes of its
     condensation; the one with lexicographically smallest vertex list is
-    returned, matching the brute-force oracle.  This is the reference that
-    the library's score-sequence detector must match certificate for
-    certificate above the brute-force budget.
+    returned as that sorted tuple, matching the brute-force oracle.  This
+    is the reference that the library's score-sequence detector must match
+    certificate for certificate above the brute-force budget.
     """
     if g.n <= 1:
         return None
@@ -404,7 +404,7 @@ def oracle_find_complete_dicut(g: StrictDigraph) -> DicutCertificate | None:
         candidate = tuple(sorted(side))
         if best is None or candidate < best:
             best = candidate
-    return DicutCertificate(frozenset(best))
+    return best
 
 
 def all_strict_digraphs(n: int):

@@ -264,8 +264,13 @@ class TestCertify:
         assert code == 1
         assert out == "invalid\n"
 
-    def test_dicut_out_of_range_is_invalid(self, capsys, write):
-        cert = write("dicut: {5}\n", "cert.txt")
+    @pytest.mark.parametrize("side", ["{5}", "{}", "{0, 1, 2}"])
+    def test_dicut_side_not_a_nonempty_proper_subset_is_invalid(
+        self, capsys, write, side
+    ):
+        # the empty side and the whole vertex set pass the edge counts, 0
+        # edges across of 0 needed; the subset check alone rejects them
+        cert = write(f"dicut: {side}\n", "cert.txt")
         code, out, _ = run(capsys, "certify", write(TT3), "--verify", cert)
         assert code == 1
         assert out == "invalid\n"
@@ -329,6 +334,18 @@ class TestCertify:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {lineno}: ")
+
+    @pytest.mark.parametrize(
+        "cert, err",
+        [
+            ("dicut: 0\n", "error: line 1: expected '{v1, v2, ...}' after 'dicut:'\n"),
+            ("dicut: {x}\n", "error: line 1: bad vertex list 'x'\n"),
+        ],
+    )
+    def test_malformed_dicut_line_message(self, capsys, write, cert, err):
+        assert run(
+            capsys, "certify", write(TT3), "--verify", write(cert, "cert.txt")
+        ) == (2, "", err)
 
     @pytest.mark.parametrize(
         "graph, cert",

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 
 from strongext import (
     BudgetError,
-    DicutCertificate,
-    InvalidCertificateError,
     ParseError,
     StrictDigraph,
     find_complete_dicut,
     format_certificate,
-    parse_certificate,
     verify_certificate,
     verify_complete_dicut,
 )
@@ -35,25 +32,30 @@ K22_MINUS = StrictDigraph(4, [(0, 2), (0, 3), (1, 2)])
 
 class TestVerify:
     def test_source_side_of_tournament(self):
-        assert verify_complete_dicut(TT3, DicutCertificate(frozenset({0})))
+        assert verify_complete_dicut(TT3, (0,))
 
     def test_missing_forward_edge(self):
-        assert not verify_complete_dicut(PATH3, DicutCertificate(frozenset({0})))
+        assert not verify_complete_dicut(PATH3, (0,))
 
     def test_back_edge(self):
-        assert not verify_complete_dicut(PATH3, DicutCertificate(frozenset({1})))
+        assert not verify_complete_dicut(PATH3, (1,))
 
     def test_empty_side_rejected(self):
-        with pytest.raises(InvalidCertificateError):
-            verify_complete_dicut(PATH3, DicutCertificate(frozenset()))
+        assert not verify_complete_dicut(TT3, ())
 
     def test_full_side_rejected(self):
-        with pytest.raises(InvalidCertificateError):
-            verify_complete_dicut(PATH3, DicutCertificate(frozenset({0, 1, 2})))
+        assert not verify_complete_dicut(TT3, (0, 1, 2))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidCertificateError):
-            verify_complete_dicut(PATH3, DicutCertificate(frozenset({7})))
+        assert not verify_complete_dicut(TT3, (7,))
+        # -3 would index vertex 0, the side of TT3's complete dicut
+        assert not verify_complete_dicut(TT3, (-3,))
+
+    def test_side_is_any_vertex_collection(self):
+        # a repeated vertex counts once, and order does not matter
+        assert verify_complete_dicut(TT3, {1, 0})
+        assert verify_complete_dicut(TT3, [1, 0, 1])
+        assert verify_complete_dicut(TT3, iter([0]))
 
 
 class TestVerifyCertificate:
@@ -109,31 +111,37 @@ class TestVerifyCertificate:
 
 class TestCertificateFormat:
     def test_format(self):
-        cert = DicutCertificate(frozenset({2, 0}))
-        assert format_certificate(cert) == "dicut: {0, 2}"
+        # an unordered side still prints in increasing order
+        assert format_certificate({2, 0}) == "dicut: {0, 2}"
+        assert format_certificate((5, 1, 3)) == "dicut: {1, 3, 5}"
 
     def test_parse(self):
-        assert parse_certificate("dicut: {0, 2}") == DicutCertificate(
-            frozenset({0, 2})
+        # spacing around the braces and the commas is free
+        tt4 = StrictDigraph(
+            4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         )
-        assert parse_certificate("dicut:{1}") == DicutCertificate(frozenset({1}))
+        for text in ("dicut: {0, 1}", "dicut:{1,0}", "dicut:  { 0 ,1 }"):
+            assert verify_certificate(tt4, text)
 
     def test_round_trip(self):
-        cert = DicutCertificate(frozenset({5, 1, 3}))
-        assert parse_certificate(format_certificate(cert)) == cert
+        assert verify_certificate(TT3, format_certificate(find_complete_dicut(TT3)))
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(InvalidCertificateError):
-            parse_certificate("cut: {0}")
-        with pytest.raises(InvalidCertificateError):
-            parse_certificate("dicut: 0, 2")
-        with pytest.raises(InvalidCertificateError):
-            parse_certificate("dicut: {a}")
+        for text, message in [
+            ("dicut: 0, 2", "expected '{v1, v2, ...}' after 'dicut:'"),
+            ("dicut: {0", "expected '{v1, v2, ...}' after 'dicut:'"),
+            ("dicut: {a}", "bad vertex list 'a'"),
+            ("dicut: {0,, 1}", "bad vertex list '0,, 1'"),
+            ("cut: {0}", "expected '+ <u> <v>', got 'cut: {0}'"),
+        ]:
+            with pytest.raises(ParseError) as raised:
+                verify_certificate(TT3, text)
+            assert str(raised.value) == f"line 1: {message}"
 
 
 class TestFind:
     def test_transitive_tournament(self):
-        assert find_complete_dicut(TT3) == DicutCertificate(frozenset({0}))
+        assert find_complete_dicut(TT3) == (0,)
 
     def test_path_has_none(self):
         assert find_complete_dicut(PATH3) is None
@@ -145,21 +153,19 @@ class TestFind:
         assert find_complete_dicut(StrictDigraph(0, frozenset())) is None
         assert find_complete_dicut(StrictDigraph(1, frozenset())) is None
         single = StrictDigraph(2, [(0, 1)])
-        assert find_complete_dicut(single) == DicutCertificate(frozenset({0}))
+        assert find_complete_dicut(single) == (0,)
 
     def test_returns_lexicographically_smallest(self):
         # the transitive tournament on 4 has sides {0}, {0,1}, {0,1,2}
         tt4 = StrictDigraph(
             4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         )
-        assert find_complete_dicut(tt4) == DicutCertificate(frozenset({0}))
+        assert find_complete_dicut(tt4) == (0,)
 
 
 class TestBruteForce:
     def test_out_star(self):
-        assert brute_force_complete_dicut(OUT_STAR) == DicutCertificate(
-            frozenset({0})
-        )
+        assert brute_force_complete_dicut(OUT_STAR) == (0,)
 
     def test_cycle_has_none(self):
         assert brute_force_complete_dicut(CYCLE3) is None

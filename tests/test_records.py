@@ -1,10 +1,11 @@
-"""The six result records: repr, equality, hashing and immutability.
+"""The five result records: repr, equality, hashing and immutability.
 
 ``Condensation``, ``ExtensionPlan``, ``BoundsReport`` and ``AnalysisReport``
-are named tuples; ``DicutCertificate`` and ``DiceSet`` are classes that
-check their one field.  Each repr below is pinned to the text the records
-printed as frozen dataclasses, and each record compares and hashes by value
-and refuses assignment and deletion.
+are named tuples; ``DiceSet`` is a class that checks its one field.  A
+complete dicut's side is a plain sorted tuple, as ``AnalysisReport``'s
+``certificate`` shows.  Each repr below is pinned to the text the records
+printed as frozen dataclasses, that certificate aside, and each record
+compares and hashes by value and refuses assignment and deletion.
 """
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from strongext import (
     BoundsReport,
     DiceSet,
-    DicutCertificate,
     InvalidDiceError,
     StrictDigraph,
     bounds,
@@ -51,12 +51,8 @@ RECORDS = [
         "successors=(frozenset({1, 2}), frozenset({2}), frozenset()), "
         "source_components=frozenset({0}), sink_components=frozenset({2}), "
         "weak_groups=((0, 1, 2),)), "
-        "certificate=DicutCertificate(origin=frozenset({0})), "
+        "certificate=(0,), "
         "plan=None, bounds_report=None)",
-    ),
-    (
-        lambda: DicutCertificate([2, 0]),
-        "DicutCertificate(origin=frozenset({0, 2}))",
     ),
     (
         lambda: DiceSet(((9, 1, 5), (3, 4, 8), (2, 6, 7))),
@@ -98,18 +94,9 @@ def test_records_of_different_values_differ():
     assert BoundsReport(1, None, 2, None, None, 1) != BoundsReport(
         1, None, 2, None, None, None
     )
-    assert DicutCertificate({0}) != DicutCertificate({1})
     assert DiceSet(((1, 4), (2, 3))) != DiceSet(((1, 3), (2, 4)))
-    # a certificate and a dice set are never equal to a bare field value
-    assert DicutCertificate({0}) != frozenset({0})
+    # a dice set is never equal to its bare field value
     assert DiceSet(((1, 2),)) != ((1, 2),)
-
-
-def test_certificate_side_is_a_frozenset():
-    cert = DicutCertificate([2, 0])
-    assert cert.origin == frozenset({0, 2})
-    assert type(cert.origin) is frozenset
-    assert hash(cert) == hash(DicutCertificate(frozenset({0, 2})))
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,21 @@ def test_orientation_is_decided_in_the_cli():
     assert named == {"cli.py"}
 
 
+def test_certificate_text_is_read_and_written_in_dicut_py():
+    # the ``dicut:`` line's reader and writer sit together, beside the
+    # ``+ u v`` line's, so a new certificate kind has one module to join
+    package = Path(strongext.__file__).parent
+    named = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("dicut:")
+    }
+    assert named == {"dicut.py"}
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never loads; ``from __future__`` is
     exempt, since it binds no name the module reads."""
