@@ -211,13 +211,14 @@ def _has_cyclic_completion(h: StrictDigraph) -> bool:
 
 def _earlier_twins(h: StrictDigraph) -> list[int]:
     """For each vertex, the nearest earlier vertex with the same out- and
-    in-neighbours in h, or -1.  Two such vertices are never adjacent: an
-    edge u -> v would make v one of u's out-neighbours, so one of its own."""
-    outs, ins = h._out_lists, h._in_lists
-    latest: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    in-neighbours in h, or -1: the same signed row, 1 at out-neighbours, -1
+    at in-neighbours, 0 elsewhere.  Twins u and v are never adjacent, as both
+    rows are 0 at u and at v.  Called within the deal budget, so on n <= 4."""
+    has_edge, vertices = h.has_edge, range(h.n)
+    latest: dict[tuple[int, ...], int] = {}
     twin = []
-    for v in range(h.n):
-        key = frozenset(outs[v]), frozenset(ins[v])
+    for v in vertices:
+        key = tuple(has_edge(v, w) - has_edge(w, v) for w in vertices)
         twin.append(latest.get(key, -1))
         latest[key] = v
     return twin

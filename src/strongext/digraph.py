@@ -60,11 +60,11 @@ class StrictDigraph(_Frozen):
 
     The edge set is held as the frozenset of codes u * n + v, one per edge
     (u, v), with the edges' tails and heads as two parallel columns that
-    readers share and must not modify.  The frozenset of (u, v) tuples,
-    ``edges``, is built on first access, as are the neighbour lists, the
-    condensation and the score chain: each once per digraph, shared, and
-    left out of equality, hashing and repr.  Two digraphs are equal when
-    they have the same n and the same edges.
+    readers share and must not modify; only this module reads the codes,
+    and every other one asks ``has_edge``.  The out-neighbour lists, the
+    condensation and the score chain are built on first use: each once per
+    digraph, shared, and left out of equality, hashing and repr.  Two
+    digraphs are equal when they have the same n and the same edges.
     """
 
     _key = ("n", "_codes")
@@ -89,21 +89,14 @@ class StrictDigraph(_Frozen):
         return f"StrictDigraph(n={self.n}, edges={self.sorted_edges()!r})"
 
     @cached_property
-    def edges(self) -> frozenset[Edge]:
-        """The edges as (u, v) tuples; built on first access."""
-        return frozenset(zip(self._tails, self._heads))
-
-    @cached_property
     def _out_lists(self) -> list[list[int]]:
         """Out-neighbours of each vertex, in no particular order; built on
         first use and shared by every later one, so callers must not modify
         them."""
-        return _neighbour_lists(self.n, self._tails, self._heads)
-
-    @cached_property
-    def _in_lists(self) -> list[list[int]]:
-        """In-neighbours of each vertex, as ``_out_lists`` has out-neighbours."""
-        return _neighbour_lists(self.n, self._heads, self._tails)
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in zip(self._tails, self._heads):
+            lists[u].append(v)
+        return lists
 
     @cached_property
     def _condensation(self) -> Condensation:
@@ -293,14 +286,6 @@ def _strict_columns(
 def _split(n: int, codes: frozenset[int]) -> tuple[list[int], list[int]]:
     """Tail and head columns of the edges with these codes."""
     return list(map(floordiv, codes, repeat(n))), list(map(mod, codes, repeat(n)))
-
-
-def _neighbour_lists(n: int, tails: list[int], heads: list[int]) -> list[list[int]]:
-    """For each vertex u, the heads of the edges with tail u."""
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(tails, heads):
-        lists[u].append(v)
-    return lists
 
 
 # Canonical edge-list text, as serialize_edge_list writes it: a header line

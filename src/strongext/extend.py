@@ -188,13 +188,14 @@ class _Growth:
                 down[cid] |= below
                 front |= preds[cid]
 
-    def source_cut_pair(self) -> Edge | None:
+    def source_cut_pair(self) -> Edge:
         """Smallest pair (y, x) with y in a source component, x outside all
         of them and no edge y -> x.
 
         No edge enters the source components, so y and x are non-adjacent.
         Every added edge joins two vertices of one component by the end of
-        its round, so it never crosses this cut and the input's edges decide.
+        its round, so it never crosses this cut and the input's edges decide:
+        the cut is a dicut of the input, so not complete; else AssertionError.
         """
         outside = self.all_vertices & ~self.sources
         rest = self.sources
@@ -207,7 +208,7 @@ class _Growth:
             if free:
                 return y, (free & -free).bit_length() - 1
             rest ^= low
-        return None
+        raise AssertionError("source cut is complete; invariant violated")
 
     def grow(self) -> list[Edge]:
         """Add edges by the source-cut step rule until one component is left.
@@ -222,10 +223,7 @@ class _Growth:
         """
         added: list[Edge] = []
         while self.live > 1:
-            pick = self.source_cut_pair()
-            if pick is None:
-                raise AssertionError("source cut is complete; invariant violated")
-            y, x = pick
+            y, x = self.source_cut_pair()
             step = [(x, y)]
             if not self.down[self.label[y]] >> x & 1:
                 _, above = self.ancestors(self.label[x], self.all_vertices)
@@ -275,7 +273,7 @@ def _link_weak_components(cond: Condensation) -> list[Edge]:
     In each weak component the smallest-id component is chosen, a source
     since quotient edges go to higher ids; the exit point is that component
     itself when the weak component is strong, otherwise the smallest-id sink
-    component reachable from it, found by a search over the quotient.  Two
+    component reachable from it, found by one pass in id order.  Two
     strong weak components would be joined twice over one pair, so the
     return edge then uses another vertex of one; n >= 3 guarantees one.
     """
@@ -285,14 +283,16 @@ def _link_weak_components(cond: Condensation) -> list[Edge]:
     for group in cond.weak_groups:
         s_cid = t_cid = group[0]
         if len(group) > 1:
+            # the group lists its ids in increasing, so topological, order:
+            # the pass meets each component after all that reach it, and
+            # stops at the smallest reached sink
             reached = {s_cid}
-            stack = [s_cid]
-            while stack:
-                for b in successors[stack.pop()]:
-                    if b not in reached:
-                        reached.add(b)
-                        stack.append(b)
-            t_cid = min(reached.intersection(sinks))
+            for cid in group:
+                if cid in reached:
+                    if cid in sinks:
+                        t_cid = cid
+                        break
+                    reached.update(successors[cid])
         entry.append(cond.components[s_cid][0])
         exits.append(cond.components[t_cid][0])
     k = len(entry)
@@ -366,13 +366,13 @@ def _max_matching(g: StrictDigraph, left: list[int], right: list[int]) -> int:
     depth first, on explicit stacks, for an augmenting path, which it cannot
     gain later.  A failed search changes nothing, so what it saw leads to no
     free vertex and stays marked."""
-    n, codes = g.n, g._codes
+    has_edge = g.has_edge
     matched: dict[int, int] = {}
     free = list(right)  # the unmatched right vertices, in order
     roots = []
     for u in left:
         for i, v in enumerate(free):
-            if v * n + u not in codes:
+            if not has_edge(v, u):
                 del free[i]
                 matched[v] = u
                 break
@@ -386,7 +386,7 @@ def _max_matching(g: StrictDigraph, left: list[int], right: list[int]) -> int:
         lefts, starts, rights = [root], [0], []
         while lefts:
             u, i = lefts[-1], starts[-1]
-            while i < size and (right[i] in seen or right[i] * n + u in codes):
+            while i < size and (right[i] in seen or has_edge(right[i], u)):
                 i += 1
             if i == size:
                 lefts.pop()

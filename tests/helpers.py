@@ -53,9 +53,14 @@ def _closure_masks(n: int, edges) -> list[int]:
     return reach
 
 
+def edge_set(g: StrictDigraph) -> frozenset[tuple[int, int]]:
+    """The edges of g as a frozenset of (u, v) tuples."""
+    return frozenset(g.sorted_edges())
+
+
 def reverse(g: StrictDigraph) -> StrictDigraph:
     """g with every edge turned around."""
-    return StrictDigraph(g.n, frozenset((v, u) for u, v in g.edges))
+    return StrictDigraph(g.n, frozenset((v, u) for u, v in g.sorted_edges()))
 
 
 def adjacent(g: StrictDigraph, u: int, v: int) -> bool:
@@ -84,21 +89,21 @@ def realizes(d: DiceSet, h: StrictDigraph) -> bool:
         raise InvalidDiceError(
             f"target has {h.n} vertices but the set has {d.count} dice"
         )
-    return h.edges <= beats_digraph(d).edges
+    return edge_set(h) <= edge_set(beats_digraph(d))
 
 
 def oracle_is_strong(g: StrictDigraph) -> bool:
     if g.n == 0:
         return False
     full = (1 << g.n) - 1
-    return all(m == full for m in _closure_masks(g.n, g.edges))
+    return all(m == full for m in _closure_masks(g.n, g.sorted_edges()))
 
 
 def weak_components(g: StrictDigraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components of the underlying graph,
     each sorted, ordered by smallest member; a plain graph search."""
     neighbours: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         neighbours[u].add(v)
         neighbours[v].add(u)
     seen = [False] * g.n
@@ -191,7 +196,7 @@ def oracle_strong_components(g: StrictDigraph) -> Condensation:
     The reference that the library's single-pass condensation must match
     field for field."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges():
         adj[u].append(v)
     raw = _oracle_tarjan(g.n, adj)
     raw_of = [0] * g.n
@@ -200,7 +205,7 @@ def oracle_strong_components(g: StrictDigraph) -> Condensation:
             raw_of[v] = i
     k = len(raw)
     succ: list[set[int]] = [set() for _ in range(k)]
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         a, b = raw_of[u], raw_of[v]
         if a != b:
             succ[a].add(b)
@@ -257,14 +262,14 @@ def tournament_has_cycle(t: StrictDigraph) -> bool:
     leaf rule of the library's dice search.
     """
     out = [0] * t.n
-    for u, _ in t.edges:
+    for u, _ in t.sorted_edges():
         out[u] += 1
     return len(set(out)) < t.n
 
 
 def _out_masks(g: StrictDigraph) -> list[int]:
     out = [0] * g.n
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         out[u] |= 1 << v
     return out
 
@@ -365,7 +370,7 @@ def oracle_find_complete_dicut(g: StrictDigraph) -> tuple[int, ...] | None:
                 union(u, v)
     while True:
         directions: dict[tuple[int, int], set[bool]] = {}
-        for u, v in g.edges:
+        for u, v in g.sorted_edges():
             ru, rv = find_root(u), find_root(v)
             if ru == rv:
                 continue
@@ -387,7 +392,7 @@ def oracle_find_complete_dicut(g: StrictDigraph) -> tuple[int, ...] | None:
         blocks[block_id[find_root(v)]].append(v)
     quotient_edges = {
         (block_id[find_root(u)], block_id[find_root(v)])
-        for u, v in g.edges
+        for u, v in g.sorted_edges()
         if find_root(u) != find_root(v)
     }
     q = len(roots)
@@ -426,7 +431,8 @@ def isomorphism_class_representatives(n: int) -> list[StrictDigraph]:
     perms = list(itertools.permutations(range(n)))
     found: dict[tuple, StrictDigraph] = {}
     for g in all_strict_digraphs(n):
-        key = min(tuple(sorted((p[u], p[v]) for u, v in g.edges)) for p in perms)
+        edges = g.sorted_edges()
+        key = min(tuple(sorted((p[u], p[v]) for u, v in edges)) for p in perms)
         found.setdefault(key, g)
     return list(found.values())
 
@@ -445,7 +451,7 @@ def tournament_completions(g: StrictDigraph):
     of the non-adjacent pairs."""
     pairs = g.nonadjacent_pairs()
     for states in itertools.product((1, 2), repeat=len(pairs)):
-        edges = set(g.edges)
+        edges = set(g.sorted_edges())
         for (u, v), state in zip(pairs, states):
             edges.add((u, v) if state == 1 else (v, u))
         yield StrictDigraph(g.n, frozenset(edges))
@@ -523,7 +529,7 @@ def random_mixed_disconnected(rng: Random, max_n: int = 8) -> StrictDigraph:
         if len(weak_components(g)) != 1:
             continue
         blob = rng.choice([s for s in (1, 3, 4) if part + s <= max_n] or [1])
-        edges = set(g.edges) | random_strong_blob(
+        edges = set(g.sorted_edges()) | random_strong_blob(
             rng, list(range(part, part + blob))
         )
         return StrictDigraph(part + blob, frozenset(edges))
@@ -704,9 +710,8 @@ def _oracle_step(g: StrictDigraph, cond) -> list[tuple[int, int]]:
     src = sorted(v for cid in cond.source_components for v in cond.components[cid])
     src_set = set(src)
     outside = [v for v in range(g.n) if v not in src_set]
-    y, x = next(
-        (y, x) for y in src for x in outside if (y, x) not in g.edges
-    )
+    edges = edge_set(g)
+    y, x = next((y, x) for y in src for x in outside if (y, x) not in edges)
     added = [(x, y)]
     cx, cy = cond.component_of[x], cond.component_of[y]
     if cx not in quotient_reachable(cond, cy):
@@ -794,7 +799,7 @@ def oracle_search_balanced_realization(h: StrictDigraph, k: int):
             if not balanced or 2 * p.numerator <= p.denominator:
                 return None
             beats = beats_digraph(candidate)
-            if not h.edges <= beats.edges:
+            if not edge_set(h) <= edge_set(beats):
                 return None
             if not tournament_has_cycle(beats):
                 return None

@@ -42,7 +42,7 @@ def tournaments(draw, min_n: int = 1, max_n: int = 8) -> StrictDigraph:
 def near_tournaments(draw, min_n: int = 2, max_n: int = 8) -> StrictDigraph:
     """A tournament on at least 2 vertices with 1 to 5 of its edges dropped."""
     t = draw(tournaments(min_n, max_n))
-    edges = sorted(t.edges)
+    edges = t.sorted_edges()
     dropped = draw(st.sets(st.sampled_from(edges), min_size=1, max_size=5))
     return StrictDigraph(t.n, frozenset(edges) - dropped)
 

@@ -107,6 +107,42 @@ def test_certificate_text_is_read_and_written_in_dicut_py():
     assert named == {"dicut.py"}
 
 
+def test_edge_codes_are_read_in_digraph_py_only():
+    # the u * n + v codes are the digraph's storage format; every other
+    # module asks has_edge, so the format can change in one module
+    package = Path(strongext.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "digraph.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_codes"
+    ]
+    assert readers == []
+
+
+def test_every_record_attribute_has_a_reader_in_the_package():
+    # a public method, property or field of a record that no module of the
+    # package reads computes nothing for any caller but the tests
+    package = Path(strongext.__file__).parent
+    read = {
+        node.attr
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    records = (strongext.StrictDigraph, strongext.DiceSet, strongext.Condensation)
+    unread = [
+        f"{cls.__name__}.{name}"
+        for cls in records
+        # the class dict holds the methods, the properties and the named
+        # tuple's fields; an immutable value's fields are named by its _key
+        for name in sorted({*vars(cls), *getattr(cls, "_key", ())})
+        if not name.startswith("_") and name not in read
+    ]
+    assert unread == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never loads; ``from __future__`` is
     exempt, since it binds no name the module reads."""
@@ -155,7 +191,7 @@ def _functions(tree: ast.Module):
 
 
 def test_cached_builds():
-    # a digraph caches its columns' views and two derived builds, the
+    # a digraph caches its out-lists and two derived builds, the
     # condensation and the score chain, and a dice set its win matrix;
     # every strongness and dicut answer reads those, and Tarjan runs only
     # inside the condensation and the growth state's linked quotient
@@ -176,9 +212,7 @@ def test_cached_builds():
             ):
                 tarjan_callers.add(name)
     expected = {
-        "StrictDigraph": {
-            "edges", "_out_lists", "_in_lists", "_condensation", "_dicut_chain",
-        },
+        "StrictDigraph": {"_out_lists", "_condensation", "_dicut_chain"},
         "DiceSet": {"_win_matrix"},
     }
     problems = [
